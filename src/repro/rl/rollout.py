@@ -190,55 +190,3 @@ def evaluate_episodes_lockstep(
         active_rows = np.flatnonzero(~vec_env.done)
         current[active_rows] = vec_env.observations[active_rows]
     return per_lane
-
-
-def evaluate_flight_distances_lockstep(
-    agents: Sequence[Agent],
-    envs: Sequence[Environment],
-    attempts: int = 5,
-    epsilon: float = 0.0,
-    policy: Optional[StackedPolicy] = None,
-) -> List[float]:
-    """Per-lane mean safe flight distance, lockstep over ``(agent, env)`` lanes.
-
-    Lane ``i``'s value is bitwise identical to
-    ``evaluate_flight_distance(agents[i], envs[i], attempts, epsilon)``.
-    """
-    from repro.rl.lockstep import build_vec_env
-
-    vec_env = build_vec_env(envs)
-    if policy is None:
-        policy = StackedPolicy([agent.network for agent in agents])
-    per_lane = evaluate_episodes_lockstep(
-        agents, vec_env, policy, attempts=attempts, epsilon=epsilon
-    )
-    return [
-        float(np.mean([stats.flight_distance for stats in lane])) for lane in per_lane
-    ]
-
-
-def evaluate_success_rates_lockstep(
-    agents: Sequence[Agent],
-    envs: Sequence[Environment],
-    attempts: int = 20,
-    epsilon: float = 0.05,
-    policy: Optional[StackedPolicy] = None,
-) -> List[float]:
-    """Per-lane success rate, lockstep over ``(agent, env)`` lanes.
-
-    Lane ``i``'s value is bitwise identical to
-    ``evaluate_success_rate(agents[i], envs[i], attempts, epsilon)`` provided
-    each lane draws ε noise from its own stream (see
-    :func:`evaluate_episodes_lockstep`).
-    """
-    from repro.rl.lockstep import build_vec_env
-
-    vec_env = build_vec_env(envs)
-    if policy is None:
-        policy = StackedPolicy([agent.network for agent in agents])
-    per_lane = evaluate_episodes_lockstep(
-        agents, vec_env, policy, attempts=attempts, epsilon=epsilon
-    )
-    return [
-        sum(1 for stats in lane if stats.success) / attempts for lane in per_lane
-    ]

@@ -27,7 +27,7 @@ _LAZY_EXPORTS = {
     "default_worker_count": "repro.runtime.runner",
     "CampaignJournal": "repro.runtime.journal",
     "JournalProgress": "repro.runtime.journal",
-    "count_completed_cells": "repro.runtime.journal",
+    "journal_records": "repro.runtime.journal",
     "plan_fingerprint": "repro.runtime.journal",
     "BackendError": "repro.runtime.backends",
     "BackendScheduler": "repro.runtime.scheduler",
@@ -48,6 +48,9 @@ _LAZY_EXPORTS = {
     "ShardRunReport": "repro.runtime.sharding",
     "ShardSpec": "repro.runtime.sharding",
     "load_shard_outputs": "repro.runtime.sharding",
+    "CampaignRequest": "repro.runtime.request",
+    "SettingError": "repro.runtime.request",
+    "save_result": "repro.runtime.request",
     "Campaign": "repro.runtime.service",
     "CampaignService": "repro.runtime.service",
     "CampaignSpec": "repro.runtime.service",
@@ -57,7 +60,6 @@ _LAZY_EXPORTS = {
     "ServiceAPI": "repro.runtime.service_api",
     "ServiceClient": "repro.runtime.service_api",
     "ServiceClientError": "repro.runtime.service_api",
-    "wait_for_socket": "repro.runtime.service_api",
 }
 
 __all__ = [

@@ -811,8 +811,6 @@ class BackendSpec:
                 slots = int(slots_text)
             except ValueError:
                 raise BackendError(f"backend slots must be an integer, got {slots_text!r}")
-            if slots < 1:
-                raise BackendError(f"backend slots must be >= 1, got {slots}")
         options: Dict[str, str] = {}
         for part in option_parts:
             key, separator, value = part.partition("=")

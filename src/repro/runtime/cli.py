@@ -47,22 +47,139 @@ import argparse
 import logging
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.core.config import DroneScale, GridWorldScale
-from repro.core.pretrained import PolicyCache
 from repro.runtime.cells import derive_cell_seeds
 from repro.runtime.plans import decomposed_experiment_ids, plannable_experiment_ids
-from repro.runtime.runner import CampaignRunner, default_worker_count
+from repro.runtime.request import (
+    SCALE_PRESETS,
+    CampaignRequest,
+    SettingError,
+    check_settings,
+    save_result,
+)
+from repro.runtime.runner import default_worker_count
 from repro.runtime.sharding import ShardRunReport, ShardSpec
-from repro.utils.serialization import save_json
+from repro.runtime.vectorize import VECTORIZE_MODES
 
-_SCALE_PRESETS = {
-    "tiny": (GridWorldScale.tiny, DroneScale.tiny),
-    "fast": (GridWorldScale.fast, DroneScale.fast),
-    "paper": (GridWorldScale.paper, DroneScale.paper),
+#: The arguments several commands share, each declared once: name -> argparse keywords.
+_OPTIONS = {
+    "--scale": dict(
+        choices=sorted(SCALE_PRESETS),
+        default="fast",
+        help="workload scale preset (default: fast; a submit without --scale "
+        "runs at the daemon's --scale)",
+    ),
+    "--seed": dict(type=int, default=None, help="root seed, overriding the scales' own"),
+    "--batch-cells": dict(
+        type=int,
+        default=1,
+        metavar="N",
+        help="group up to N cells into one pool submission to amortize "
+        "process round-trips (default: 1)",
+    ),
+    "--vectorize": dict(
+        choices=VECTORIZE_MODES,
+        default="auto",
+        help="lockstep (vectorized) evaluation of cell groups: 'auto' uses it "
+        "where a vectorized runner exists, 'on' fails if one is missing, "
+        "'off' forces the serial per-cell path; payloads are byte-identical "
+        "either way (default: auto)",
+    ),
+    "--cache-dir": dict(
+        type=Path,
+        default=None,
+        help="policy cache directory shared by plan building, workers and shards "
+        "(default: $FRLFI_CACHE_DIR or ./.frlfi_cache)",
+    ),
+    "--output": dict(
+        type=Path,
+        default=None,
+        help="directory for the per-artifact .json/.txt result files",
+    ),
+    "--journal-dir": dict(
+        type=Path,
+        default=None,
+        help="journal store for the streaming per-artifact JSONL cell journals, "
+        "shard journals and orchestrator reports (default: <output>/journals "
+        "when --output is given)",
+    ),
+    "--workers-per-shard": dict(
+        type=int,
+        default=1,
+        metavar="M",
+        help="process-pool size inside each shard subprocess (default: 1)",
+    ),
+    "--max-retries": dict(
+        type=int,
+        default=2,
+        metavar="R",
+        help="retry a failed or stalled shard up to R times, resuming from its "
+        "journal with --resume (default: 2)",
+    ),
+    "--stall-timeout": dict(
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help="kill and retry a shard whose journal shows no new cell for this "
+        "many seconds (default: disabled)",
+    ),
+    "--poll-interval": dict(
+        type=float,
+        default=0.5,
+        metavar="SECONDS",
+        help="how often shard journals are polled for progress (default: 0.5)",
+    ),
+    "--inject-kill-shard": dict(
+        type=int,
+        default=None,
+        metavar="K",
+        help="chaos-testing hook: SIGKILL shard K's first attempt once it has "
+        "journaled a cell, forcing the retry+--resume path (CI uses this to "
+        "prove the merged payload survives a mid-run kill)",
+    ),
+    "--backend": dict(
+        action="append",
+        dest="backends",
+        default=None,
+        metavar="NAME[:SLOTS][,KEY=VALUE...]",
+        help="execution backend for shard attempts, repeatable: local[:slots], "
+        "ssh[:slots],host=NODE, or slurm[:slots][,bin_dir=DIR][,poll=SECONDS]; "
+        "add workers=M to override --workers-per-shard for that backend's "
+        "attempts; the scheduler assigns shards by free slots and a retry "
+        "prefers a different backend than the one that just failed "
+        "(default: one unbounded local backend)",
+    ),
+    "--store": dict(
+        type=Path,
+        default=None,
+        metavar="FILE",
+        help="sqlite store file (ingest default: <first JOURNAL_DIR>/store.sqlite)",
+    ),
+    "--socket": dict(
+        type=Path,
+        default=None,
+        metavar="PATH",
+        help="the daemon's Unix socket (serve default: <journal-dir>/service.sock)",
+    ),
+    "experiment": dict(
+        help="artifact identifier (e.g. fig6a; orchestrate needs one that "
+        "decomposes into more than one cell)"
+    ),
+    "--dry-run": dict(
+        action="store_true",
+        help="print what would run (shard->backend assignment and commands, or "
+        "the service roster and quotas), then exit without launching anything",
+    ),
 }
+
+
+def _add_options(parser: argparse.ArgumentParser, *names: str) -> None:
+    """Declare the shared arguments ``names`` (see ``_OPTIONS``) on ``parser``."""
+    for name in names:
+        parser.add_argument(name, **_OPTIONS[name])
 
 
 _EPILOG = """\
@@ -131,47 +248,13 @@ def build_parser() -> argparse.ArgumentParser:
         f"(currently {default_worker_count()} here); 1 runs serially",
     )
     parser.add_argument(
-        "--scale",
-        choices=sorted(_SCALE_PRESETS),
-        default="fast",
-        help="workload scale preset (default: fast)",
-    )
-    parser.add_argument("--seed", type=int, default=None, help="override the scales' root seed")
-    parser.add_argument(
         "--replicates",
         type=int,
         default=1,
         help="run each artifact N times under independently derived seeds",
     )
-    parser.add_argument(
-        "--batch-cells",
-        type=int,
-        default=1,
-        metavar="N",
-        help="group up to N cells into one pool submission to amortize "
-        "process round-trips (default: 1)",
-    )
-    parser.add_argument(
-        "--vectorize",
-        choices=("auto", "on", "off"),
-        default="auto",
-        help="lockstep (vectorized) evaluation of cell groups: 'auto' uses it "
-        "where a vectorized runner exists, 'on' fails if one is missing, "
-        "'off' forces the serial per-cell path; payloads are byte-identical "
-        "either way (default: auto)",
-    )
-    parser.add_argument(
-        "--output",
-        type=Path,
-        default=None,
-        help="directory for per-artifact .json/.txt result files",
-    )
-    parser.add_argument(
-        "--journal-dir",
-        type=Path,
-        default=None,
-        help="directory for streaming per-artifact JSONL cell journals "
-        "(default: <output>/journals when --output is given)",
+    _add_options(
+        parser, "--scale", "--seed", "--batch-cells", "--vectorize", "--output", "--journal-dir"
     )
     parser.add_argument(
         "--resume",
@@ -197,13 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
         "missing or any journal does not match the plan, e.g.: repro-campaign "
         "fig6a --merge-only --journal-dir /shared/journals --output results/",
     )
-    parser.add_argument(
-        "--cache-dir",
-        type=Path,
-        default=None,
-        help="policy cache directory shared by all workers "
-        "(default: $FRLFI_CACHE_DIR or ./.frlfi_cache)",
-    )
+    _add_options(parser, "--cache-dir")
     return parser
 
 
@@ -244,11 +321,7 @@ def build_orchestrate_parser() -> argparse.ArgumentParser:
         epilog=_ORCHESTRATE_EPILOG,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument(
-        "experiment",
-        help="artifact identifier to orchestrate (must decompose into >1 cell, "
-        "e.g. fig6a)",
-    )
+    _add_options(parser, "experiment")
     parser.add_argument(
         "--shards",
         type=int,
@@ -256,78 +329,19 @@ def build_orchestrate_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="number of --shard k/N subprocesses to run (all concurrently)",
     )
-    parser.add_argument(
+    _add_options(
+        parser,
         "--workers-per-shard",
-        type=int,
-        default=1,
-        metavar="M",
-        help="process-pool size inside each shard subprocess (default: 1)",
-    )
-    parser.add_argument(
         "--batch-cells",
-        type=int,
-        default=1,
-        metavar="B",
-        help="forwarded to each shard: group up to B cells per pool submission",
-    )
-    parser.add_argument(
         "--vectorize",
-        choices=("auto", "on", "off"),
-        default="auto",
-        help="forwarded to each shard: lockstep (vectorized) evaluation of "
-        "cell groups (default: auto)",
-    )
-    parser.add_argument(
         "--max-retries",
-        type=int,
-        default=2,
-        metavar="R",
-        help="retry a failed or stalled shard up to R times, resuming from its "
-        "journal with --resume (default: 2)",
-    )
-    parser.add_argument(
         "--stall-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="kill and retry a shard whose journal shows no new cell for this "
-        "many seconds (default: disabled)",
-    )
-    parser.add_argument(
         "--poll-interval",
-        type=float,
-        default=0.5,
-        metavar="SECONDS",
-        help="how often shard journals are polled for progress (default: 0.5)",
-    )
-    parser.add_argument(
         "--scale",
-        choices=sorted(_SCALE_PRESETS),
-        default="fast",
-        help="workload scale preset, forwarded to every shard (default: fast)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=None, help="root seed, forwarded to every shard"
-    )
-    parser.add_argument(
+        "--seed",
         "--cache-dir",
-        type=Path,
-        default=None,
-        help="policy cache directory shared by the orchestrator and all shards "
-        "(default: $FRLFI_CACHE_DIR or ./.frlfi_cache)",
-    )
-    parser.add_argument(
         "--output",
-        type=Path,
-        default=None,
-        help="directory for the merged .json/.txt result files",
-    )
-    parser.add_argument(
         "--journal-dir",
-        type=Path,
-        default=None,
-        help="shared journal store for the shard journals and the orchestrator "
-        "report (default: <output>/journals when --output is given)",
     )
     parser.add_argument(
         "--emit-slurm",
@@ -345,34 +359,7 @@ def build_orchestrate_parser() -> argparse.ArgumentParser:
         help="instead of running locally, write a ready-to-submit Kubernetes "
         "indexed-Job manifest for the sharded campaign to FILE and exit",
     )
-    parser.add_argument(
-        "--inject-kill-shard",
-        type=int,
-        default=None,
-        metavar="K",
-        help="chaos-testing hook: SIGKILL shard K's first attempt once it has "
-        "journaled a cell, forcing the retry+--resume path (CI uses this to "
-        "prove the merged payload survives a mid-run kill)",
-    )
-    parser.add_argument(
-        "--backend",
-        action="append",
-        dest="backends",
-        default=None,
-        metavar="NAME[:SLOTS][,KEY=VALUE...]",
-        help="execution backend for shard attempts, repeatable: local[:slots], "
-        "ssh[:slots],host=NODE, or slurm[:slots][,bin_dir=DIR][,poll=SECONDS]; "
-        "add workers=M to override --workers-per-shard for that backend's "
-        "attempts; the scheduler assigns shards by free slots and a retry "
-        "prefers a different backend than the one that just failed "
-        "(default: one unbounded local backend)",
-    )
-    parser.add_argument(
-        "--dry-run",
-        action="store_true",
-        help="print the resolved shard->backend assignment and the exact "
-        "per-shard commands, then exit without launching anything",
-    )
+    _add_options(parser, "--inject-kill-shard", "--backend", "--dry-run")
     return parser
 
 
@@ -414,13 +401,7 @@ def build_ingest_parser() -> argparse.ArgumentParser:
         metavar="JOURNAL_DIR",
         help="journal director(ies) to ingest",
     )
-    parser.add_argument(
-        "--store",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="sqlite store file (default: <first JOURNAL_DIR>/store.sqlite)",
-    )
+    _add_options(parser, "--store")
     return parser
 
 
@@ -441,13 +422,7 @@ def build_query_parser() -> argparse.ArgumentParser:
         help="canned query name plus its arguments (see below), or nothing "
         "with --sql",
     )
-    parser.add_argument(
-        "--store",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="sqlite store file to query",
-    )
+    _add_options(parser, "--store")
     parser.add_argument(
         "--journal-dir",
         type=Path,
@@ -600,22 +575,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="shared journal store: per-campaign journals, merged payloads, "
         "and the service's own submission/state journal live here",
     )
-    parser.add_argument(
-        "--socket",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="Unix socket to listen on (default: <journal-dir>/service.sock)",
-    )
-    parser.add_argument(
-        "--backend",
-        action="append",
-        dest="backends",
-        default=None,
-        metavar="NAME[:SLOTS][,KEY=VALUE...]",
-        help="shared execution backend roster, repeatable (same spellings as "
-        "orchestrate --backend; default: one unbounded local backend)",
-    )
+    _add_options(parser, "--socket")
     parser.add_argument(
         "--quota",
         action="append",
@@ -633,41 +593,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "(default: unbounded)",
     )
     parser.add_argument(
-        "--scale",
-        choices=sorted(_SCALE_PRESETS),
-        default="fast",
-        help="default workload scale for submissions that do not name one "
-        "(default: fast)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        type=Path,
-        default=None,
-        help="policy cache directory shared by planning and all shards",
-    )
-    parser.add_argument(
-        "--max-retries",
-        type=int,
-        default=2,
-        metavar="R",
-        help="per-shard retry budget for every campaign (default: 2)",
-    )
-    parser.add_argument(
-        "--stall-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="kill and retry a shard whose journal shows no new cell for this "
-        "many seconds (default: disabled)",
-    )
-    parser.add_argument(
-        "--poll-interval",
-        type=float,
-        default=0.5,
-        metavar="SECONDS",
-        help="journal poll / progress stream interval (default: 0.5)",
-    )
-    parser.add_argument(
         "--resume",
         action="store_true",
         help="re-adopt campaigns that were submitted but unfinished when the "
@@ -675,37 +600,28 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "journals, recomputing no completed cell",
     )
     parser.add_argument(
-        "--inject-kill-shard",
-        type=int,
-        default=None,
-        metavar="K",
-        help="chaos-testing hook forwarded to every campaign: SIGKILL shard "
-        "K's first attempt once it has journaled a cell",
-    )
-    parser.add_argument(
         "--ingest",
         action="store_true",
         help="after each merge, ingest the campaign's journals into "
         "<journal-dir>/store.sqlite (the queryable result store)",
     )
-    parser.add_argument(
+    _add_options(
+        parser,
+        "--backend",
+        "--scale",
+        "--cache-dir",
+        "--max-retries",
+        "--stall-timeout",
+        "--poll-interval",
+        "--inject-kill-shard",
         "--dry-run",
-        action="store_true",
-        help="print the resolved roster and quota table, then exit without "
-        "binding the socket or starting anything",
     )
     return parser
 
 
 def _add_client_socket_arguments(parser: argparse.ArgumentParser) -> None:
     """The two ways every client command can name the daemon's socket."""
-    parser.add_argument(
-        "--socket",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="the daemon's Unix socket",
-    )
+    _add_options(parser, "--socket")
     parser.add_argument(
         "--journal-dir",
         type=Path,
@@ -723,7 +639,7 @@ def build_submit_parser() -> argparse.ArgumentParser:
         "(see 'repro-campaign serve').  Returns immediately with the "
         "campaign id; follow progress with 'repro-campaign tail LABEL'.",
     )
-    parser.add_argument("experiment", help="artifact identifier to run (e.g. fig6a)")
+    _add_options(parser, "experiment")
     _add_client_socket_arguments(parser)
     parser.add_argument(
         "--label",
@@ -741,33 +657,8 @@ def build_submit_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--shards", type=int, default=2, metavar="N", help="shard count (default: 2)"
     )
-    parser.add_argument(
-        "--scale",
-        choices=sorted(_SCALE_PRESETS),
-        default=None,
-        help="workload scale (default: the daemon's --scale)",
-    )
-    parser.add_argument("--seed", type=int, default=None, help="root seed for the campaign")
-    parser.add_argument(
-        "--workers-per-shard",
-        type=int,
-        default=1,
-        metavar="M",
-        help="process-pool size inside each shard (default: 1)",
-    )
-    parser.add_argument(
-        "--batch-cells",
-        type=int,
-        default=1,
-        metavar="B",
-        help="forwarded to each shard: group up to B cells per pool submission",
-    )
-    parser.add_argument(
-        "--vectorize",
-        choices=("auto", "on", "off"),
-        default="auto",
-        help="forwarded to each shard (default: auto)",
-    )
+    _add_options(parser, "--scale", "--seed", "--workers-per-shard", "--batch-cells", "--vectorize")
+    parser.set_defaults(scale=None)  # None: the daemon's --scale
     return parser
 
 
@@ -834,33 +725,35 @@ def _parse_quotas(parser: argparse.ArgumentParser, texts) -> dict:
     return quotas
 
 
+def _backends(parser: argparse.ArgumentParser, args) -> list:
+    """The ``--backend`` roster (default: one unbounded local backend)."""
+    from repro.runtime.backends import BackendError, build_backends
+
+    try:
+        return build_backends(args.backends or ["local"])
+    except BackendError as error:
+        parser.error(f"invalid --backend: {error}")
+
+
+def _journal_dir(args) -> Optional[Path]:
+    """``--journal-dir``, defaulting to ``<output>/journals`` when ``--output`` is given."""
+    if args.journal_dir is None and args.output is not None:
+        return args.output / "journals"
+    return args.journal_dir
+
+
 def _serve_main(argv: Sequence[str]) -> int:
     """Entry point for ``repro-campaign serve ...``."""
     import asyncio
 
-    from repro.runtime.backends import BackendError, build_backends
-    from repro.runtime.service import CampaignService, ServiceError
+    from repro.runtime.service import CampaignService
     from repro.runtime.service_api import ServiceAPI
+    from repro.runtime.service_queue import QuotaError
 
     parser = build_serve_parser()
     args = parser.parse_args(argv)
-    if args.max_retries < 0:
-        parser.error("--max-retries must be >= 0")
-    if args.poll_interval <= 0:
-        parser.error("--poll-interval must be > 0")
-    if args.stall_timeout is not None and args.stall_timeout <= 0:
-        parser.error("--stall-timeout must be > 0")
-    if args.default_quota is not None and args.default_quota < 1:
-        parser.error("--default-quota must be >= 1")
-    if args.inject_kill_shard is not None and args.inject_kill_shard < 1:
-        parser.error("--inject-kill-shard must be >= 1")
     quotas = _parse_quotas(parser, args.quotas)
-    if any(quota < 1 for quota in quotas.values()):
-        parser.error("--quota caps must be >= 1")
-    try:
-        backends = build_backends(args.backends or ["local"])
-    except BackendError as error:
-        parser.error(f"invalid --backend: {error}")
+    backends = _backends(parser, args)
     socket_path = args.socket if args.socket is not None else args.journal_dir / "service.sock"
     try:
         service = CampaignService(
@@ -878,8 +771,8 @@ def _serve_main(argv: Sequence[str]) -> int:
             ingest_on_completion=args.ingest,
             on_event=lambda message: print(f"[serve] {message}", flush=True),
         )
-    except ServiceError as error:
-        parser.error(str(error))
+    except (SettingError, QuotaError) as error:
+        parser.error(error.usage)
     if args.dry_run:
         print(f"campaign service (dry run)\nsocket: {socket_path}", flush=True)
         print(service.render_dry_run(), flush=True)
@@ -915,31 +808,29 @@ def _client_main(argv: Sequence[str], parser_builder, handler) -> int:
     client = ServiceClient(_resolve_client_socket(parser, args))
     try:
         return handler(client, args)
-    except ServiceClientError as error:
-        print(f"[{parser.prog.split()[-1]}] FAILED — {error}", file=sys.stderr, flush=True)
-        return 1
-    except (ConnectionError, OSError, TimeoutError) as error:
+    except (ServiceClientError, ConnectionError, OSError, TimeoutError) as error:
         print(f"[{parser.prog.split()[-1]}] FAILED — {error}", file=sys.stderr, flush=True)
         return 1
 
 
 def _submit_main(argv: Sequence[str]) -> int:
     """Entry point for ``repro-campaign submit ...``."""
+    from repro.runtime.service import CampaignSpec
 
     def handler(client, args) -> int:
-        payload = {
-            "experiment_id": args.experiment,
-            "label": args.label or args.experiment,
-            "tenant": args.tenant,
-            "priority": args.priority,
-            "shards": args.shards,
-            "scale": args.scale,
-            "seed": args.seed,
-            "workers_per_shard": args.workers_per_shard,
-            "batch_cells": args.batch_cells,
-            "vectorize": args.vectorize,
-        }
-        status = client.submit(payload)
+        spec = CampaignSpec(
+            args.experiment,
+            label=args.label or None,
+            tenant=args.tenant,
+            priority=args.priority,
+            shards=args.shards,
+            scale=args.scale,
+            seed=args.seed,
+            workers_per_shard=args.workers_per_shard,
+            batch_cells=args.batch_cells,
+            vectorize=args.vectorize,
+        )
+        status = client.submit(spec.as_dict())
         print(
             f"[submit] {status['id']} {status['label']}: {status['state']} "
             f"(tenant {status['tenant']}, priority {status['priority']})",
@@ -1007,29 +898,25 @@ def _cancel_main(argv: Sequence[str]) -> int:
     return _client_main(argv, build_cancel_parser, handler)
 
 
-def _shard_forwarded_args(args, include_workers: bool = True) -> list:
-    """The CLI arguments every shard subprocess inherits from orchestrate.
+def request_from_args(args, experiment_id: str, workers: int) -> CampaignRequest:
+    """The campaign request parsed one-shot or ``orchestrate`` options describe.
 
-    The cluster templates render ``--workers`` themselves (it doubles as the
-    scheduler's cpus-per-task request), so they ask for the rest only.
+    A shard subprocess parses the ``to_argv()`` options its launcher forwards
+    back into an equal request, so it builds the launcher's plan.
     """
-    forwarded = ["--scale", args.scale]
-    if include_workers:
-        forwarded += ["--workers", str(args.workers_per_shard)]
-    if args.batch_cells > 1:
-        forwarded += ["--batch-cells", str(args.batch_cells)]
-    if args.vectorize != "auto":
-        forwarded += ["--vectorize", args.vectorize]
-    if args.seed is not None:
-        forwarded += ["--seed", str(args.seed)]
-    if args.cache_dir is not None:
-        forwarded += ["--cache-dir", str(args.cache_dir)]
-    return forwarded
+    return CampaignRequest(
+        experiment_id,
+        scale=args.scale,
+        seed=args.seed,
+        workers=workers,
+        batch_cells=args.batch_cells,
+        vectorize=args.vectorize,
+        cache_dir=args.cache_dir,
+    )
 
 
 def _orchestrate_main(argv: Sequence[str]) -> int:
     """Entry point for ``repro-campaign orchestrate ...``."""
-    from repro.runtime.backends import BackendError, build_backends
     from repro.runtime.orchestrator import (
         OrchestratorError,
         ShardOrchestrator,
@@ -1039,64 +926,58 @@ def _orchestrate_main(argv: Sequence[str]) -> int:
 
     parser = build_orchestrate_parser()
     args = parser.parse_args(argv)
-    if args.shards < 1:
-        parser.error("--shards must be >= 1")
-    if args.workers_per_shard < 1:
-        parser.error("--workers-per-shard must be >= 1")
-    if args.batch_cells < 1:
-        parser.error("--batch-cells must be >= 1")
-    if args.max_retries < 0:
-        parser.error("--max-retries must be >= 0")
-    if args.poll_interval <= 0:
-        parser.error("--poll-interval must be > 0")
-    if args.stall_timeout is not None and args.stall_timeout <= 0:
-        parser.error("--stall-timeout must be > 0")
-    if args.inject_kill_shard is not None and not 1 <= args.inject_kill_shard <= args.shards:
-        parser.error(
-            f"--inject-kill-shard must name a shard in 1..{args.shards}, "
-            f"got {args.inject_kill_shard}"
-        )
     if args.dry_run and (args.emit_slurm is not None or args.emit_k8s is not None):
         parser.error(
             "--dry-run and --emit-slurm/--emit-k8s are mutually exclusive: "
             "a dry run writes nothing, template emission writes files"
         )
-    try:
-        backends = build_backends(args.backends or ["local"])
-    except BackendError as error:
-        parser.error(f"invalid --backend: {error}")
-    journal_dir = args.journal_dir
-    if journal_dir is None and args.output is not None:
-        journal_dir = args.output / "journals"
+    backends = _backends(parser, args)
+    journal_dir = _journal_dir(args)
     if journal_dir is None:
         parser.error(
             "orchestration needs the shared journal store "
             "(give --journal-dir or --output)"
         )
-
-    if args.dry_run:
-        # The dry run builds no plan (so trains no baselines) and touches no
-        # disk: it resolves backend specs, previews the scheduler's
-        # assignment, and prints the exact argv each shard would launch.
+    request = request_from_args(args, args.experiment, args.workers_per_shard)
+    try:
+        check_settings(workers_per_shard=args.workers_per_shard)
+        # Building the orchestrator builds no plan (so trains no baselines)
+        # and touches no disk, which keeps --dry-run and template emission
+        # cheap and offline.
         orchestrator = ShardOrchestrator(
             args.experiment,
             args.shards,
-            CampaignRunner(journal_dir=journal_dir),
+            request.validate().runner(journal_dir=journal_dir),
             backends=backends,
-            shard_args=_shard_forwarded_args(args),
+            shard_args=request.to_argv(),
             max_retries=args.max_retries,
+            stall_timeout=args.stall_timeout,
+            poll_interval=args.poll_interval,
+            inject_kill_shard=args.inject_kill_shard,
+            on_event=lambda message: print(f"[orchestrate] {message}", flush=True),
         )
+    except SettingError as error:
+        parser.error(error.usage)
+    if args.inject_kill_shard is not None and not 1 <= args.inject_kill_shard <= args.shards:
+        parser.error(
+            f"--inject-kill-shard must name a shard in 1..{args.shards}, "
+            f"got {args.inject_kill_shard}"
+        )
+
+    if args.dry_run:
+        # Resolves backend specs, previews the scheduler's assignment, and
+        # prints the exact argv each shard would launch.
         print(orchestrator.render_dry_run(), flush=True)
         return 0
 
     if args.emit_slurm is not None or args.emit_k8s is not None:
-        # Template emission renders the commands a real scheduler would run;
-        # it deliberately builds no plan (clusters render at paper scale
-        # without paying for baseline training on the submit host).
+        # Template emission renders the commands a real scheduler would run
+        # (clusters render at paper scale without paying for baseline
+        # training on the submit host).
         template_kwargs = dict(
             journal_dir=journal_dir,
             workers_per_shard=args.workers_per_shard,
-            shard_args=_shard_forwarded_args(args, include_workers=False),
+            shard_args=request.to_argv(workers=False),
         )
         for path, renderer, kind in (
             (args.emit_slurm, render_slurm_script, "Slurm array job"),
@@ -1112,31 +993,6 @@ def _orchestrate_main(argv: Sequence[str]) -> int:
             print(f"[repro-campaign] wrote {kind} template to {path}", flush=True)
         return 0
 
-    gridworld_factory, drone_factory = _SCALE_PRESETS[args.scale]
-    gridworld_scale = gridworld_factory()
-    drone_scale = drone_factory()
-    if args.seed is not None:
-        gridworld_scale = gridworld_scale.with_seed(args.seed)
-        drone_scale = drone_scale.with_seed(args.seed)
-    runner = CampaignRunner(
-        gridworld_scale=gridworld_scale,
-        drone_scale=drone_scale,
-        cache=PolicyCache(args.cache_dir) if args.cache_dir is not None else None,
-        journal_dir=journal_dir,
-        vectorize=args.vectorize,
-    )
-    orchestrator = ShardOrchestrator(
-        args.experiment,
-        args.shards,
-        runner,
-        backends=backends,
-        shard_args=_shard_forwarded_args(args),
-        max_retries=args.max_retries,
-        stall_timeout=args.stall_timeout,
-        poll_interval=args.poll_interval,
-        inject_kill_shard=args.inject_kill_shard,
-        on_event=lambda message: print(f"[orchestrate] {message}", flush=True),
-    )
     start = time.perf_counter()
     try:
         report = orchestrator.run()
@@ -1154,16 +1010,8 @@ def _orchestrate_main(argv: Sequence[str]) -> int:
     print(report.render(), flush=True)
     print(f"[orchestrate] {args.experiment}: done in {elapsed:.1f}s", flush=True)
     if args.output is not None and report.result is not None:
-        _save(args.output, args.experiment, report.result)
+        save_result(args.output, args.experiment, report.result)
     return 0
-
-
-def _save(output_dir: Path, name: str, result) -> None:
-    output_dir.mkdir(parents=True, exist_ok=True)
-    text = result.render() if hasattr(result, "render") else str(result)
-    (output_dir / f"{name}.txt").write_text(text + "\n", encoding="utf8")
-    if hasattr(result, "as_dict"):
-        save_json(output_dir / f"{name}.json", result.as_dict())
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -1174,22 +1022,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     logging.basicConfig(
         level=logging.WARNING, format="[repro-campaign] %(levelname)s: %(message)s"
     )
-    if arguments[:1] == ["orchestrate"]:
-        return _orchestrate_main(arguments[1:])
-    if arguments[:1] == ["ingest"]:
-        return _ingest_main(arguments[1:])
-    if arguments[:1] == ["query"]:
-        return _query_main(arguments[1:])
-    if arguments[:1] == ["serve"]:
-        return _serve_main(arguments[1:])
-    if arguments[:1] == ["submit"]:
-        return _submit_main(arguments[1:])
-    if arguments[:1] == ["status"]:
-        return _status_main(arguments[1:])
-    if arguments[:1] == ["tail"]:
-        return _tail_main(arguments[1:])
-    if arguments[:1] == ["cancel"]:
-        return _cancel_main(arguments[1:])
+    subcommands = {
+        "orchestrate": _orchestrate_main,
+        "ingest": _ingest_main,
+        "query": _query_main,
+        "serve": _serve_main,
+        "submit": _submit_main,
+        "status": _status_main,
+        "tail": _tail_main,
+        "cancel": _cancel_main,
+    }
+    if arguments and arguments[0] in subcommands:
+        return subcommands[arguments[0]](arguments[1:])
     parser = build_parser()
     args = parser.parse_args(arguments)
 
@@ -1202,12 +1046,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if not args.experiments:
         parser.error("no experiments given (or use --list)")
-    if args.workers < 0:
-        parser.error("--workers must be >= 0 (0 picks a machine-sized default)")
+    # The runner a request builds does not depend on its experiment id, so
+    # one request (per replicate seed) runs every requested artifact.
+    request = request_from_args(args, args.experiments[0], args.workers)
+    try:
+        request.validate()
+    except SettingError as error:
+        parser.error(error.usage)
     if args.replicates < 1:
         parser.error("--replicates must be >= 1")
-    if args.batch_cells < 1:
-        parser.error("--batch-cells must be >= 1")
     shard = None
     if args.shard is not None:
         if args.merge_only:
@@ -1219,9 +1066,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             shard = ShardSpec.parse(args.shard)
         except ValueError as error:
             parser.error(f"invalid --shard: {error}")
-    journal_dir = args.journal_dir
-    if journal_dir is None and args.output is not None:
-        journal_dir = args.output / "journals"
+    journal_dir = _journal_dir(args)
     if args.resume and journal_dir is None:
         parser.error("--resume needs a journal (give --journal-dir or --output)")
     if (shard is not None or args.merge_only) and journal_dir is None:
@@ -1237,10 +1082,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "--shard/--merge-only with --replicates > 1 needs an explicit --seed "
             "so every machine derives the same replicate plans"
         )
-
-    gridworld_factory, drone_factory = _SCALE_PRESETS[args.scale]
-    workers = args.workers if args.workers != 0 else default_worker_count()
-    cache = PolicyCache(args.cache_dir) if args.cache_dir is not None else None
 
     known = plannable_experiment_ids()
     if args.experiments == ["all"]:
@@ -1258,21 +1099,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     exit_code = 0
     for replicate, seed in enumerate(replicate_seeds):
-        gridworld_scale = gridworld_factory()
-        drone_scale = drone_factory()
-        if seed is not None:
-            gridworld_scale = gridworld_scale.with_seed(seed)
-            drone_scale = drone_scale.with_seed(seed)
-        runner = CampaignRunner(
-            gridworld_scale=gridworld_scale,
-            drone_scale=drone_scale,
-            cache=cache,
-            workers=workers,
-            batch_size=args.batch_cells,
-            journal_dir=journal_dir,
-            resume=args.resume,
-            shard=shard,
-            vectorize=args.vectorize,
+        runner = replace(request, seed=seed).runner(
+            journal_dir=journal_dir, resume=args.resume, shard=shard
         )
         suffix = f"@r{replicate}" if args.replicates > 1 else ""
         if args.replicates > 1:
@@ -1312,10 +1140,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         assigned = len(shard.cell_indices(plan.cell_count))
                         progress = (
                             f"shard {shard.describe()}: {assigned}/{plan.cell_count} "
-                            f"cells on {workers} worker(s)"
+                            f"cells on {runner.workers} worker(s)"
                         )
                     else:
-                        progress = f"{plan.cell_count} cells on {workers} worker(s)"
+                        progress = f"{plan.cell_count} cells on {runner.workers} worker(s)"
                     if args.batch_cells > 1:
                         progress += f", batches of {args.batch_cells}"
                     if journaled:
@@ -1339,7 +1167,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             runner.results[experiment_id] = result
             print(f"[repro-campaign] {label}: done in {elapsed:.1f}s", flush=True)
             if args.output is not None:
-                _save(args.output, label, result)
+                save_result(args.output, label, result)
         print(runner.report())
     return exit_code
 

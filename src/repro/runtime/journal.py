@@ -51,7 +51,7 @@ import json
 import logging
 import os
 from pathlib import Path
-from typing import Dict, Optional, TextIO, Tuple
+from typing import Dict, Iterator, Optional, TextIO, Tuple
 
 from repro.utils.serialization import NumpyJSONEncoder
 
@@ -112,28 +112,56 @@ def plan_fingerprint(plan) -> str:
     return hashlib.sha1(payload.encode("utf8")).hexdigest()
 
 
-def count_completed_cells(path) -> int:
-    """One-shot progress probe: completed-cell records currently in ``path``.
+#: What :func:`_journal_lines` yields in place of a line that is not JSON.
+_UNPARSABLE = object()
 
-    Counts newline-terminated ``"kind": "cell"`` lines without validating
-    them against a plan.  A missing file counts as zero; an unparsable line
-    (the partial trailing write of a mid-kill) ends the count, matching
-    :meth:`CampaignJournal.load`.  For repeated polling of a *growing*
-    journal use :class:`JournalProgress`, which reads only the new bytes.
+
+def _journal_lines(raw: bytes) -> Iterator[Tuple[object, int]]:
+    """Each newline-terminated line of ``raw``, parsed, with its byte length.
+
+    Only newline-terminated lines count: an unterminated last line is a
+    partial write and is never yielded, even when its prefix parses.  A line
+    that is not JSON yields ``_UNPARSABLE``.
     """
-    try:
-        raw = Path(path).read_bytes()
-    except OSError:
-        return 0
-    count = 0
     for line in raw.split(b"\n")[:-1]:
         try:
             record = json.loads(line)
         except json.JSONDecodeError:
-            break
-        if isinstance(record, dict) and record.get("kind") == "cell":
-            count += 1
-    return count
+            record = _UNPARSABLE
+        yield record, len(line) + 1
+
+
+def journal_records(path) -> Iterator[Tuple[object, int]]:
+    """Every complete record of a JSONL journal file, with its line's byte length.
+
+    The one reader that campaign journals, shard journals, the result store
+    and the service journal share: the first unparsable line ends the scan,
+    since nothing after it in an append-only file can be trusted.  A missing
+    file has no records.
+    """
+    try:
+        raw = Path(path).read_bytes()
+    except FileNotFoundError:
+        return
+    for record, size in _journal_lines(raw):
+        if record is _UNPARSABLE:
+            return
+        yield record, size
+
+
+def stale_version_reason(header: dict) -> Optional[str]:
+    """Why a journal header's fingerprint version is stale, or ``None`` if current."""
+    version = header.get("fingerprint_version")
+    if version == FINGERPRINT_VERSION:
+        return None
+    written = "an unversioned (version-1) fingerprint" if version is None else (
+        f"fingerprint version {version}"
+    )
+    return (
+        f"journal was written with {written}, but this build uses version "
+        f"{FINGERPRINT_VERSION}; version-1 fingerprints embedded machine-local "
+        "cache paths, so the journal must be recomputed"
+    )
 
 
 class JournalProgress:
@@ -179,11 +207,10 @@ class JournalProgress:
         terminated = chunk.rfind(b"\n")
         if terminated == -1:
             return self._count
-        for line in chunk[:terminated].split(b"\n"):
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
+        # Unlike journal_records, an unparsable line is skipped, not the end:
+        # a journal rewritten under the prober mid-line must not freeze the
+        # count (and with it the orchestrator's stall detection).
+        for record, _ in _journal_lines(chunk[: terminated + 1]):
             if isinstance(record, dict) and record.get("kind") == "cell":
                 self._count += 1
         self._offset += terminated + 1
@@ -234,16 +261,9 @@ class CampaignJournal:
         """Why ``record`` is not an acceptable header for this plan, or None."""
         if not isinstance(record, dict) or record.get("kind") != "header":
             return "first line is not a journal header"
-        version = record.get("fingerprint_version")
-        if version != FINGERPRINT_VERSION:
-            written = "an unversioned (version-1) fingerprint" if version is None else (
-                f"fingerprint version {version}"
-            )
-            return (
-                f"journal was written with {written}, but this build uses version "
-                f"{FINGERPRINT_VERSION}; version-1 fingerprints embedded machine-local "
-                "cache paths, so the journal must be recomputed"
-            )
+        stale = stale_version_reason(record)
+        if stale is not None:
+            return stale
         if record.get("fingerprint") != self.fingerprint:
             return (
                 "plan fingerprint mismatch (the journal was written for a different "
@@ -282,30 +302,18 @@ class CampaignJournal:
         self.invalid_reason = None
         if not self.path.exists():
             return self._loaded
+        records = journal_records(self.path)
+        header, valid_bytes = next(records, (None, 0))
+        reason = (
+            "no readable journal header (empty file, or a partial first write)"
+            if header is None
+            else self._header_reason(header)
+        )
+        if reason is not None:
+            self._reject(reason)
+            return self._loaded
         completed: Dict[int, object] = {}
-        valid_bytes = 0
-        raw = self.path.read_bytes()
-        # Only newline-terminated lines count: dropping the final split
-        # element discards either the empty string after the last newline or
-        # an unterminated partial write, which must not be trusted even when
-        # its prefix happens to parse.
-        lines = raw.split(b"\n")[:-1]
-        for line_number, line in enumerate(lines):
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                if line_number == 0:
-                    self._reject("unreadable journal header")
-                    return self._loaded
-                # Only a trailing partial write is tolerable; stop here.
-                break
-            if line_number == 0:
-                reason = self._header_reason(record)
-                if reason is not None:
-                    self._reject(reason)
-                    return self._loaded
-                valid_bytes += len(line) + 1
-                continue
+        for record, size in records:
             if not isinstance(record, dict) or record.get("kind") != "cell":
                 break
             index = record.get("index")
@@ -317,10 +325,7 @@ class CampaignJournal:
             ):
                 break
             completed[index] = record["output"]
-            valid_bytes += len(line) + 1
-        if not lines:
-            self._reject("journal file is empty (no header)")
-            return self._loaded
+            valid_bytes += size
         self._loaded = completed
         self._valid_bytes = valid_bytes
         return completed

@@ -62,6 +62,7 @@ from repro.runtime.backends import (
     shard_argv,
 )
 from repro.runtime.journal import JournalProgress
+from repro.runtime.request import check_settings
 from repro.runtime.runner import CampaignError, CampaignRunner
 from repro.runtime.scheduler import BackendScheduler
 from repro.runtime.sharding import ShardSpec
@@ -126,11 +127,6 @@ class ShardOutcome:
     def succeeded(self) -> bool:
         """Whether the shard's final attempt completed cleanly."""
         return bool(self.attempts) and self.attempts[-1].reason is None
-
-    @property
-    def retry_count(self) -> int:
-        """How many times the shard was retried (attempts beyond the first)."""
-        return max(0, len(self.attempts) - 1)
 
     def as_dict(self) -> dict:
         """JSON-serializable form for the orchestrator report."""
@@ -240,8 +236,8 @@ class ShardOrchestrator:
         Optional pre-built :class:`~repro.runtime.cells.CampaignPlan`
         (testing hook; defaults to ``runner.plan(experiment_id)``).
     shard_args:
-        Extra CLI arguments forwarded verbatim to every shard attempt
-        (``--scale``, ``--seed``, ``--cache-dir``, ``--workers``, ...).
+        Extra CLI arguments forwarded verbatim to every shard attempt:
+        the campaign's :meth:`~repro.runtime.request.CampaignRequest.to_argv`.
     max_retries:
         How many times a failed or stalled shard is retried (with
         ``--resume``) beyond its first attempt.
@@ -293,14 +289,12 @@ class ShardOrchestrator:
         scheduler: Optional[BackendScheduler] = None,
         prepare_backends: bool = True,
     ) -> None:
-        if shard_count < 1:
-            raise ValueError(f"shard count must be >= 1, got {shard_count}")
-        if max_retries < 0:
-            raise ValueError(f"max retries must be >= 0, got {max_retries}")
-        if poll_interval <= 0:
-            raise ValueError(f"poll interval must be > 0, got {poll_interval}")
-        if stall_timeout is not None and stall_timeout <= 0:
-            raise ValueError(f"stall timeout must be > 0, got {stall_timeout}")
+        check_settings(
+            shards=shard_count,
+            max_retries=max_retries,
+            poll_interval=poll_interval,
+            stall_timeout=stall_timeout,
+        )
         if runner.journal_dir is None:
             raise CampaignError(
                 "orchestration requires a journal directory: construct the "

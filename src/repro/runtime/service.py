@@ -44,28 +44,18 @@ import os
 import re
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Deque, Dict, List, Optional, Sequence
 
-from repro.core.config import DroneScale, GridWorldScale
-from repro.core.pretrained import PolicyCache
 from repro.runtime.backends import ExecutionBackend, LocalProcessBackend
-from repro.runtime.journal import JournalProgress, plan_fingerprint
+from repro.runtime.journal import JournalProgress, journal_records, plan_fingerprint
 from repro.runtime.orchestrator import CommandFactory, ShardOrchestrator
-from repro.runtime.runner import CampaignError, CampaignRunner
+from repro.runtime.request import CampaignRequest, check_settings, save_result
+from repro.runtime.runner import CampaignError
 from repro.runtime.scheduler import BackendScheduler
 from repro.runtime.service_queue import ServiceDispatcher
 from repro.runtime.sharding import ShardSpec
-from repro.utils.serialization import save_json
-
-#: Scale presets the service resolves submission ``scale`` names against
-#: (the same presets the CLI offers for one-shot runs).
-SCALE_PRESETS = {
-    "tiny": (GridWorldScale.tiny, DroneScale.tiny),
-    "fast": (GridWorldScale.fast, DroneScale.fast),
-    "paper": (GridWorldScale.paper, DroneScale.paper),
-}
 
 #: Campaign states that will never change again.
 TERMINAL_STATES = frozenset({"merged", "failed", "cancelled"})
@@ -80,35 +70,52 @@ class ServiceError(CampaignError):
     """A submission or service-control request could not be honoured."""
 
 
-@dataclass
+@dataclass(init=False)
 class CampaignSpec:
-    """One campaign submission: what to run, as whom, how urgently.
+    """One campaign submission: a request, plus as whom, how urgently, in how many shards.
 
     ``label`` names the campaign's journal subdirectory (and must therefore
-    be filesystem-safe); it defaults to the artifact id.  ``scale=None``
-    inherits the service's default scale, so a daemon started with
-    ``--scale tiny`` runs tiny campaigns unless a submission overrides it.
+    be filesystem-safe); it defaults to the artifact id.  The request's
+    ``workers`` is the pool size inside each shard (``workers_per_shard`` in
+    the constructor and the JSON form).  ``scale=None`` inherits the
+    service's default scale, so a daemon started with ``--scale tiny`` runs
+    tiny campaigns unless a submission overrides it.
     """
 
-    experiment_id: str
-    label: Optional[str] = None
-    tenant: str = "default"
-    priority: int = 0
-    shards: int = 2
-    scale: Optional[str] = None
-    seed: Optional[int] = None
-    workers_per_shard: int = 1
-    batch_cells: int = 1
-    vectorize: str = "auto"
+    request: CampaignRequest
+    label: str
+    tenant: str
+    priority: int
+    shards: int
 
-    def __post_init__(self) -> None:
-        if self.label is None:
-            self.label = self.experiment_id
+    def __init__(
+        self,
+        experiment_id: str,
+        label: Optional[str] = None,
+        tenant: str = "default",
+        priority: int = 0,
+        shards: int = 2,
+        scale: Optional[str] = None,
+        seed: Optional[int] = None,
+        workers_per_shard: int = 1,
+        batch_cells: int = 1,
+        vectorize: str = "auto",
+    ) -> None:
+        self.request = CampaignRequest(
+            experiment_id, scale, seed, workers_per_shard, batch_cells, vectorize
+        )
+        self.label = experiment_id if label is None else label
+        self.tenant = tenant
+        self.priority = priority
+        self.shards = shards
+
+    @property
+    def experiment_id(self) -> str:
+        """The artifact the campaign runs."""
+        return self.request.experiment_id
 
     def validate(self) -> None:
         """Raise :class:`ServiceError` on any out-of-range field."""
-        if not self.experiment_id:
-            raise ServiceError("submission needs an experiment id")
         if not _LABEL_PATTERN.fullmatch(self.label or ""):
             raise ServiceError(
                 f"label {self.label!r} is not filesystem-safe (allowed: letters, "
@@ -116,32 +123,26 @@ class CampaignSpec:
             )
         if not self.tenant:
             raise ServiceError("tenant must be a non-empty string")
-        if self.shards < 1:
-            raise ServiceError(f"shards must be >= 1, got {self.shards}")
-        if self.workers_per_shard < 1:
-            raise ServiceError(f"workers-per-shard must be >= 1, got {self.workers_per_shard}")
-        if self.batch_cells < 1:
-            raise ServiceError(f"batch-cells must be >= 1, got {self.batch_cells}")
-        if self.scale is not None and self.scale not in SCALE_PRESETS:
-            raise ServiceError(
-                f"unknown scale {self.scale!r}; available: {sorted(SCALE_PRESETS)}"
-            )
-        if self.vectorize not in ("auto", "on", "off"):
-            raise ServiceError(f"vectorize must be auto/on/off, got {self.vectorize!r}")
+        try:
+            check_settings(shards=self.shards, workers_per_shard=self.request.workers)
+            self.request.validate()
+        except ValueError as error:
+            raise ServiceError(str(error)) from error
 
     def as_dict(self) -> dict:
         """JSON form recorded in the service journal (and echoed by the API)."""
+        request = self.request
         return {
-            "experiment_id": self.experiment_id,
+            "experiment_id": request.experiment_id,
             "label": self.label,
             "tenant": self.tenant,
             "priority": self.priority,
             "shards": self.shards,
-            "scale": self.scale,
-            "seed": self.seed,
-            "workers_per_shard": self.workers_per_shard,
-            "batch_cells": self.batch_cells,
-            "vectorize": self.vectorize,
+            "scale": request.scale,
+            "seed": request.seed,
+            "workers_per_shard": request.workers,
+            "batch_cells": request.batch_cells,
+            "vectorize": request.vectorize,
         }
 
     @classmethod
@@ -204,22 +205,9 @@ class _CampaignScheduler:
         """The shared roster, in declaration order."""
         return self._dispatcher.scheduler.backends
 
-    @property
-    def total_slots(self):
-        """Total declared capacity of the shared roster."""
-        return self._dispatcher.scheduler.total_slots
-
     def describe(self) -> str:
         """One-line roster summary (delegates to the shared scheduler)."""
         return self._dispatcher.scheduler.describe()
-
-    def free_slots(self, backend: ExecutionBackend) -> float:
-        """Free capacity of ``backend`` on the shared roster."""
-        return self._dispatcher.scheduler.free_slots(backend)
-
-    def plan_assignments(self, count: int) -> List[ExecutionBackend]:
-        """Dry-run assignment preview (delegates to the shared scheduler)."""
-        return self._dispatcher.scheduler.plan_assignments(count)
 
     def has_free_slot(self, *, avoid: Optional[ExecutionBackend] = None) -> bool:
         """Whether an acquire could proceed now (quota headroom and a slot)."""
@@ -297,10 +285,13 @@ class CampaignService:
         command_factory: Optional[Callable[[Campaign], CommandFactory]] = None,
         on_event: Optional[Callable[[str], None]] = None,
     ) -> None:
-        if scale not in SCALE_PRESETS:
-            raise ServiceError(f"unknown scale {scale!r}; available: {sorted(SCALE_PRESETS)}")
-        if poll_interval <= 0:
-            raise ServiceError(f"poll interval must be > 0, got {poll_interval}")
+        check_settings(
+            scale=scale,
+            max_retries=max_retries,
+            poll_interval=poll_interval,
+            stall_timeout=stall_timeout,
+            inject_kill_shard=inject_kill_shard,
+        )
         self.journal_dir = Path(journal_dir)
         self.backends: List[ExecutionBackend] = list(backends or [LocalProcessBackend()])
         self.dispatcher = ServiceDispatcher(
@@ -335,7 +326,10 @@ class CampaignService:
         self.journal_dir.mkdir(parents=True, exist_ok=True)
         for backend in self.backends:
             backend.prepare(self.journal_dir)
-        records = self._load_journal_records()
+        # Tail-tolerant: a mid-kill partial write ends the readable records.
+        records = [
+            record for record, _ in journal_records(self._journal_path) if isinstance(record, dict)
+        ]
         for record in records:
             number = _campaign_number(record.get("id", ""))
             if number is not None:
@@ -406,7 +400,8 @@ class CampaignService:
             dir=self.journal_dir / spec.label,
             adopted=adopted,
         )
-        for shard in self._shard_specs(spec):
+        for index in range(1, spec.shards + 1):
+            shard = ShardSpec(index, spec.shards)
             campaign.probers[shard.describe()] = JournalProgress(
                 shard.journal_path(campaign.dir, spec.experiment_id)
             )
@@ -445,10 +440,13 @@ class CampaignService:
     async def _run_campaign(self, campaign: Campaign) -> None:
         """Drive one campaign: plan, orchestrate, merge, save, journal."""
         spec = campaign.spec
+        request = replace(
+            spec.request, scale=spec.request.scale or self.scale, cache_dir=self.cache_dir
+        )
         started = time.monotonic()
         try:
             campaign.state = "planning"
-            runner = self._runner_for(spec, campaign.dir)
+            runner = request.runner(journal_dir=campaign.dir)
             async with self._plan_lock:
                 if self.plan_factory is not None:
                     plan = self.plan_factory(spec)
@@ -462,7 +460,7 @@ class CampaignService:
                 plan=plan,
                 scheduler=_CampaignScheduler(self.dispatcher, campaign),
                 prepare_backends=False,
-                shard_args=self._shard_args(spec),
+                shard_args=request.to_argv(),
                 max_retries=self.max_retries,
                 stall_timeout=self.stall_timeout,
                 poll_interval=self.poll_interval,
@@ -477,7 +475,7 @@ class CampaignService:
             campaign.report = report
             if report.result is not None:
                 await asyncio.to_thread(
-                    _save_result, campaign.dir, spec.experiment_id, report.result
+                    save_result, campaign.dir, spec.experiment_id, report.result
                 )
             if self.ingest_on_completion:
                 await asyncio.to_thread(self._ingest, campaign)
@@ -496,41 +494,6 @@ class CampaignService:
             campaign.error = str(error)
             self._journal_terminal(campaign)
             self._emit(f"{campaign.id} {spec.label}: FAILED — {error}")
-
-    def _runner_for(self, spec: CampaignSpec, campaign_dir: Path) -> CampaignRunner:
-        """The per-campaign runner (plan building + shard merging)."""
-        scale = spec.scale or self.scale
-        gridworld_factory, drone_factory = SCALE_PRESETS[scale]
-        gridworld_scale = gridworld_factory()
-        drone_scale = drone_factory()
-        if spec.seed is not None:
-            gridworld_scale = gridworld_scale.with_seed(spec.seed)
-            drone_scale = drone_scale.with_seed(spec.seed)
-        return CampaignRunner(
-            gridworld_scale=gridworld_scale,
-            drone_scale=drone_scale,
-            cache=PolicyCache(self.cache_dir) if self.cache_dir is not None else None,
-            journal_dir=campaign_dir,
-            vectorize=spec.vectorize,
-        )
-
-    def _shard_args(self, spec: CampaignSpec) -> List[str]:
-        """The CLI arguments each shard subprocess inherits from the spec."""
-        forwarded = ["--scale", spec.scale or self.scale]
-        forwarded += ["--workers", str(spec.workers_per_shard)]
-        if spec.batch_cells > 1:
-            forwarded += ["--batch-cells", str(spec.batch_cells)]
-        if spec.vectorize != "auto":
-            forwarded += ["--vectorize", spec.vectorize]
-        if spec.seed is not None:
-            forwarded += ["--seed", str(spec.seed)]
-        if self.cache_dir is not None:
-            forwarded += ["--cache-dir", str(self.cache_dir)]
-        return forwarded
-
-    def _shard_specs(self, spec: CampaignSpec) -> List[ShardSpec]:
-        """The shard coordinates of one submission."""
-        return [ShardSpec(index, spec.shards) for index in range(1, spec.shards + 1)]
 
     def _ingest(self, campaign: Campaign) -> None:
         """Fold the campaign's journal directory into the shared result store."""
@@ -661,24 +624,6 @@ class CampaignService:
         """The service's own submission/state journal file."""
         return self.journal_dir / SERVICE_JOURNAL_NAME
 
-    def _load_journal_records(self) -> List[dict]:
-        """Parse the service journal tail-tolerantly (crash-safe reads)."""
-        try:
-            raw = self._journal_path.read_bytes()
-        except OSError:
-            return []
-        records: List[dict] = []
-        for line in raw.split(b"\n")[:-1]:
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                # The partial trailing write of a mid-kill; everything after
-                # it is unreadable by construction (append-only file).
-                break
-            if isinstance(record, dict):
-                records.append(record)
-        return records
-
     def _unfinished(self, records: List[dict]) -> List[tuple]:
         """``(campaign_id, spec_payload)`` for submissions with no terminal record."""
         specs: Dict[str, dict] = {}
@@ -737,25 +682,10 @@ def _campaign_number(campaign_id: str) -> Optional[int]:
     return int(match.group(1)) if match else None
 
 
-def _save_result(output_dir: Path, name: str, result) -> None:
-    """Save a merged result as ``<name>.txt``/``<name>.json`` (CLI layout).
-
-    Byte-identical to what ``repro-campaign ... --output`` writes for the
-    same result, which is what lets CI diff a served campaign's payload
-    against a one-shot run with plain ``diff``.
-    """
-    output_dir.mkdir(parents=True, exist_ok=True)
-    text = result.render() if hasattr(result, "render") else str(result)
-    (output_dir / f"{name}.txt").write_text(text + "\n", encoding="utf8")
-    if hasattr(result, "as_dict"):
-        save_json(output_dir / f"{name}.json", result.as_dict())
-
-
 __all__ = [
     "Campaign",
     "CampaignService",
     "CampaignSpec",
-    "SCALE_PRESETS",
     "SERVICE_JOURNAL_NAME",
     "ServiceError",
     "TERMINAL_STATES",

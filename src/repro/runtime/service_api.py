@@ -36,7 +36,6 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
-import os
 import socket
 from pathlib import Path
 from typing import Dict, Iterator, Optional
@@ -350,6 +349,20 @@ class ServiceClient:
                 break
         return int(parts[1])
 
+    @staticmethod
+    def _decode(status: int, body: bytes):
+        """The JSON response body; raises :class:`ServiceClientError` on non-2xx."""
+        try:
+            decoded = json.loads(body) if body.strip() else {}
+        except json.JSONDecodeError:
+            if status < 400:
+                raise ServiceClientError(status, f"undecodable response body {body[:200]!r}")
+            decoded = {}
+        if status >= 400:
+            message = decoded.get("error") if isinstance(decoded, dict) else None
+            raise ServiceClientError(status, message or f"HTTP {status}")
+        return decoded
+
     def request(self, method: str, path: str, payload: Optional[dict] = None) -> dict:
         """One request/response round trip; raises on non-2xx."""
         with contextlib.closing(self._connect()) as connection:
@@ -357,14 +370,7 @@ class ServiceClient:
             with connection.makefile("rb") as handle:
                 status = self._read_head(handle)
                 body = handle.read()
-        try:
-            decoded = json.loads(body) if body.strip() else {}
-        except json.JSONDecodeError:
-            raise ServiceClientError(status, f"undecodable response body {body[:200]!r}")
-        if status >= 400:
-            message = decoded.get("error") if isinstance(decoded, dict) else None
-            raise ServiceClientError(status, message or f"HTTP {status}")
-        return decoded
+        return self._decode(status, body)
 
     def stream(self, path: str) -> Iterator[dict]:
         """Yield NDJSON events from a streaming endpoint until the server closes."""
@@ -373,13 +379,7 @@ class ServiceClient:
             with connection.makefile("rb") as handle:
                 status = self._read_head(handle)
                 if status >= 400:
-                    body = handle.read()
-                    try:
-                        decoded = json.loads(body) if body.strip() else {}
-                    except json.JSONDecodeError:
-                        decoded = {}
-                    message = decoded.get("error") if isinstance(decoded, dict) else None
-                    raise ServiceClientError(status, message or f"HTTP {status}")
+                    self._decode(status, handle.read())
                 for line in handle:
                     line = line.strip()
                     if line:
@@ -411,33 +411,10 @@ class ServiceClient:
         return self.request("DELETE", f"/campaigns/{target}")
 
 
-def wait_for_socket(socket_path, timeout: float = 30.0, interval: float = 0.05) -> None:
-    """Block until the daemon answers /health (client-side startup barrier).
-
-    Synchronous on purpose: callers are CLI processes and test fixtures that
-    just launched ``repro-campaign serve`` and need a readiness check.
-    """
-    import time
-
-    client = ServiceClient(socket_path, timeout=max(timeout, 1.0))
-    deadline = time.monotonic() + timeout
-    while True:
-        if os.path.exists(str(socket_path)):
-            try:
-                client.health()
-                return
-            except (ServiceClientError, OSError):
-                pass
-        if time.monotonic() > deadline:
-            raise TimeoutError(f"campaign service socket {socket_path} never became ready")
-        time.sleep(interval)
-
-
 __all__ = [
     "MAX_BODY_BYTES",
     "ProtocolError",
     "ServiceAPI",
     "ServiceClient",
     "ServiceClientError",
-    "wait_for_socket",
 ]

@@ -42,7 +42,15 @@ from repro.runtime.scheduler import BackendScheduler
 
 
 class QuotaError(ValueError):
-    """An admission request or quota table was invalid."""
+    """An admission request or quota table was invalid.
+
+    ``usage`` is the same complaint in command-line terms, as ``serve``
+    reports it.
+    """
+
+    def __init__(self, message: str, usage: Optional[str] = None) -> None:
+        super().__init__(message)
+        self.usage = usage or message
 
 
 @dataclass(frozen=True)
@@ -82,9 +90,14 @@ class QuotaQueue:
     ) -> None:
         for tenant, quota in (quotas or {}).items():
             if quota < 1:
-                raise QuotaError(f"quota for tenant {tenant!r} must be >= 1, got {quota}")
+                raise QuotaError(
+                    f"quota for tenant {tenant!r} must be >= 1, got {quota}",
+                    "--quota caps must be >= 1",
+                )
         if default_quota is not None and default_quota < 1:
-            raise QuotaError(f"default quota must be >= 1, got {default_quota}")
+            raise QuotaError(
+                f"default quota must be >= 1, got {default_quota}", "--default-quota must be >= 1"
+            )
         self._quotas: Dict[str, int] = dict(quotas or {})
         self._default_quota = default_quota
         self._sequence = itertools.count(1)
@@ -137,7 +150,7 @@ class QuotaQueue:
         except ValueError:
             pass
 
-    def _has_headroom(self, tenant: str) -> bool:
+    def has_headroom(self, tenant: str) -> bool:
         """Whether ``tenant`` may hold one more admission right now."""
         quota = self.quota(tenant)
         return quota is None or self.granted(tenant) < quota
@@ -149,7 +162,7 @@ class QuotaQueue:
         tenant has quota headroom.  Quota-blocked tickets are *skipped*, not
         waited on: a saturated tenant never holds up the rest of the queue.
         """
-        eligible = [t for t in self._waiting if self._has_headroom(t.tenant)]
+        eligible = [t for t in self._waiting if self.has_headroom(t.tenant)]
         if not eligible:
             return None
         return min(eligible, key=lambda ticket: ticket.sort_key)
@@ -158,7 +171,7 @@ class QuotaQueue:
         """Mark a pending ticket as dispatched, consuming tenant headroom."""
         if ticket not in self._waiting:
             raise QuotaError(f"ticket {ticket} is not pending")
-        if not self._has_headroom(ticket.tenant):
+        if not self.has_headroom(ticket.tenant):
             raise QuotaError(
                 f"tenant {ticket.tenant!r} is at quota "
                 f"({self.granted(ticket.tenant)}/{self.quota(ticket.tenant)})"
@@ -247,10 +260,7 @@ class ServiceDispatcher:
 
     def has_headroom(self, tenant: str, *, avoid: Optional[ExecutionBackend] = None) -> bool:
         """Whether an ``acquire`` for ``tenant`` could proceed without waiting."""
-        quota = self.queue.quota(tenant)
-        if quota is not None and self.queue.granted(tenant) >= quota:
-            return False
-        return self.scheduler.has_free_slot(avoid=avoid)
+        return self.queue.has_headroom(tenant) and self.scheduler.has_free_slot(avoid=avoid)
 
 
 __all__ = ["QuotaError", "QuotaQueue", "ServiceDispatcher", "Ticket"]

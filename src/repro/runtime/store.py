@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.runtime.journal import FINGERPRINT_VERSION
+from repro.runtime.journal import journal_records, stale_version_reason
 from repro.runtime.sharding import parse_shard_journal_name
 
 logger = logging.getLogger(__name__)
@@ -131,30 +131,19 @@ class StoreError(RuntimeError):
 def read_journal_records(path) -> Tuple[Optional[dict], List[dict]]:
     """The header and cell records of one journal file, tail-tolerantly.
 
-    Mirrors :meth:`repro.runtime.journal.CampaignJournal.load`'s parsing
-    contract without requiring a plan: only newline-terminated lines count, a
-    corrupt or truncated trailing line (a mid-write kill) ends the scan with
-    everything before it kept, and malformed cell records end the scan
-    rather than poisoning the store.  Returns ``(None, [])`` for a file with
-    no readable header (empty, or the header line itself is the partial
-    write) — the caller skips such files and retries on a later ingest.
+    Reads through :func:`repro.runtime.journal.journal_records`, the same
+    line rule :meth:`repro.runtime.journal.CampaignJournal.load` uses, but
+    without requiring a plan; malformed cell records end the scan rather
+    than poisoning the store.  Returns ``(None, [])`` for a file with no
+    readable header (empty, or the header line itself is the partial write)
+    — the caller skips such files and retries on a later ingest.
     """
-    raw = Path(path).read_bytes()
-    lines = raw.split(b"\n")[:-1]
-    header: Optional[dict] = None
+    records = journal_records(path)
+    header, _ = next(records, (None, 0))
+    if not isinstance(header, dict) or header.get("kind") != "header":
+        return None, []
     cells: List[dict] = []
-    for line_number, line in enumerate(lines):
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            if line_number == 0:
-                return None, []
-            break  # tolerable truncated tail, exactly as journal.load()
-        if line_number == 0:
-            if not isinstance(record, dict) or record.get("kind") != "header":
-                return None, []
-            header = record
-            continue
+    for record, _ in records:
         if not isinstance(record, dict) or record.get("kind") != "cell":
             break
         if not isinstance(record.get("index"), int) or "output" not in record:
@@ -320,16 +309,10 @@ class ResultStore:
                     "written, or not a campaign journal)"
                 )
                 continue
-            version = header.get("fingerprint_version")
-            if version != FINGERPRINT_VERSION or not header.get("fingerprint"):
-                written = (
-                    "an unversioned (version-1) fingerprint"
-                    if version is None
-                    else f"fingerprint version {version}"
-                )
+            stale = stale_version_reason(header)
+            if stale is not None or not header.get("fingerprint"):
                 report.warnings.append(
-                    f"skipping {path}: journal was written with {written}, but this "
-                    f"build ingests version {FINGERPRINT_VERSION} journals only"
+                    f"skipping {path}: {stale or 'journal header has no plan fingerprint'}"
                 )
                 continue
             journals.append((path, label, shard, header, cells))
@@ -553,26 +536,18 @@ class ResultStore:
 
     def query_campaigns(self) -> Tuple[List[str], List[tuple]]:
         """Canned query: every campaign with its cell coverage and sources."""
-        rows = self._connection.execute(
-            """
-            SELECT c.label, c.experiment_id, c.fingerprint, c.fingerprint_version,
-                   c.cell_count,
-                   COUNT(DISTINCT l.cell_index) AS cells_ingested,
-                   COUNT(DISTINCT l.source_id) AS sources
-            FROM campaigns c LEFT JOIN cells l ON l.campaign_id = c.campaign_id
-            GROUP BY c.campaign_id ORDER BY c.label, c.campaign_id
-            """
-        ).fetchall()
-        columns = [
-            "label",
-            "experiment_id",
-            "fingerprint",
-            "fingerprint_version",
-            "cell_count",
-            "cells_ingested",
-            "sources",
-        ]
-        return columns, [tuple(row) for row in rows]
+        return _result(
+            self._connection.execute(
+                """
+                SELECT c.label, c.experiment_id, c.fingerprint, c.fingerprint_version,
+                       c.cell_count,
+                       COUNT(DISTINCT l.cell_index) AS cells_ingested,
+                       COUNT(DISTINCT l.source_id) AS sources
+                FROM campaigns c LEFT JOIN cells l ON l.campaign_id = c.campaign_id
+                GROUP BY c.campaign_id ORDER BY c.label, c.campaign_id
+                """
+            )
+        )
 
     def query_cells(
         self, label: str, fingerprint: Optional[str] = None
@@ -649,20 +624,7 @@ class ResultStore:
             sql += " WHERE r.label = ?"
             params = (label,)
         sql += " ORDER BY r.label, a.shard, a.attempt"
-        rows = self._connection.execute(sql, params).fetchall()
-        columns = [
-            "label",
-            "shard",
-            "attempt",
-            "backend",
-            "returncode",
-            "duration_seconds",
-            "cells_completed",
-            "resumed",
-            "succeeded",
-            "reason",
-        ]
-        return columns, [tuple(row) for row in rows]
+        return _result(self._connection.execute(sql, params))
 
     def query_timings(self, label: Optional[str] = None) -> Tuple[List[str], List[tuple]]:
         """Canned query: per-backend attempt timings and success rates."""
@@ -679,19 +641,20 @@ class ResultStore:
             sql += " WHERE r.label = ?"
             params = (label,)
         sql += " GROUP BY a.backend ORDER BY backend"
-        rows = self._connection.execute(sql, params).fetchall()
-        return ["backend", "attempts", "succeeded", "mean_seconds", "total_seconds"], [
-            tuple(row) for row in rows
-        ]
+        return _result(self._connection.execute(sql, params))
 
     def sql(self, query: str) -> Tuple[List[str], List[tuple]]:
         """Raw-SQL escape hatch: execute ``query`` and return columns + rows."""
         try:
-            cursor = self._connection.execute(query)
+            return _result(self._connection.execute(query))
         except sqlite3.Error as error:
             raise StoreError(f"SQL query failed: {error}")
-        columns = [description[0] for description in cursor.description or []]
-        return columns, [tuple(row) for row in cursor.fetchall()]
+
+
+def _result(cursor: sqlite3.Cursor) -> Tuple[List[str], List[tuple]]:
+    """A query's ``(columns, rows)``, with the column names the SQL gave them."""
+    columns = [description[0] for description in cursor.description or []]
+    return columns, [tuple(row) for row in cursor.fetchall()]
 
 
 def format_rows(columns: Sequence[str], rows: Sequence[tuple], fmt: str = "table") -> str:

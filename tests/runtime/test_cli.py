@@ -4,9 +4,66 @@ These exercise the parser layer only — campaign execution is covered by
 ``test_campaign_runner.py``/``test_sharding.py`` and the CI jobs.
 """
 
+import shlex
+import sys
+
 import pytest
 
 from repro.runtime.cli import main
+
+#: ``orchestrate fig6a --shards 4 --scale paper --workers-per-shard 8
+#: --journal-dir /shared/journals --emit-slurm/--emit-k8s`` output, pinned
+#: byte for byte: cluster templates must not drift with CLI refactors.  A
+#: single trailing backslash continues the string: each shard command renders
+#: on one line.
+_SLURM_TEMPLATE = """\
+#!/bin/bash
+#SBATCH --job-name=frlfi-fig6a
+#SBATCH --array=1-4
+#SBATCH --ntasks=1
+#SBATCH --cpus-per-task=8
+#SBATCH --time=04:00:00
+#SBATCH --requeue
+# One array task per shard; --resume makes a requeued task continue from its
+# journal in the shared store instead of recomputing finished cells.
+repro-campaign fig6a --shard "${SLURM_ARRAY_TASK_ID}/4" --journal-dir /shared/journals \
+--workers 8 --scale paper --resume
+
+# After the whole array completes, merge from any node:
+#   repro-campaign fig6a --merge-only \\
+#     --journal-dir /shared/journals --output results/
+"""
+
+_K8S_TEMPLATE = """\
+apiVersion: batch/v1
+kind: Job
+metadata:
+  name: frlfi-fig6a
+spec:
+  completions: 4
+  parallelism: 4
+  completionMode: Indexed
+  backoffLimit: 12
+  template:
+    spec:
+      restartPolicy: OnFailure
+      containers:
+        - name: shard
+          image: frl-fi-repro:latest
+          command: ["/bin/sh", "-c"]
+          args:
+            - repro-campaign fig6a --shard "$((JOB_COMPLETION_INDEX + 1))/4" \
+--journal-dir /shared/journals --workers 8 --scale paper --resume
+          volumeMounts:
+            - name: journals
+              mountPath: /shared/journals
+      volumes:
+        - name: journals
+          persistentVolumeClaim:
+            claimName: frlfi-journals
+# After the Job completes, merge from any pod mounting the journal volume:
+#   repro-campaign fig6a --merge-only --journal-dir /shared/journals --output results/
+"""
 
 
 def _error_text(capsys) -> str:
@@ -175,6 +232,8 @@ class TestOrchestrateValidation:
         manifest = k8s.read_text()
         assert "completionMode: Indexed" in manifest
         assert '--shard "$((JOB_COMPLETION_INDEX + 1))/4"' in manifest
+        assert script == _SLURM_TEMPLATE
+        assert manifest == _K8S_TEMPLATE
 
     def test_dry_run_prints_assignment_without_launching(self, capsys, tmp_path):
         """--dry-run resolves backend specs and prints shard->backend lines
@@ -195,6 +254,17 @@ class TestOrchestrateValidation:
         assert "--shard 1/3" in out and "--scale tiny" in out
         assert "nothing launched" in out
         assert not journal_dir.exists()
+        program = f"{shlex.quote(sys.executable)} -m repro.runtime.cli"
+        journal = shlex.quote(str(journal_dir))
+        assert out == (
+            "fig6a: 3 shard(s) over backends local[slots=1], slurm[slots=2]\n"
+            + "".join(
+                f"  shard {index}/3 -> {backend}: {program} fig6a --shard {index}/3 "
+                f"--journal-dir {journal} --scale tiny --workers 1\n"
+                for index, backend in ((1, "slurm"), (2, "local"), (3, "slurm"))
+            )
+            + "dry run: nothing launched\n"
+        )
 
     def test_dry_run_conflicts_with_template_emission(self, capsys, tmp_path):
         """Regression: --dry-run used to silently swallow --emit-slurm (exit 0,

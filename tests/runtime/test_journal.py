@@ -18,7 +18,7 @@ from repro.runtime.journal import (
     FINGERPRINT_VERSION,
     CampaignJournal,
     JournalProgress,
-    count_completed_cells,
+    journal_records,
     plan_fingerprint,
 )
 from repro.runtime.residency import PolicyRef
@@ -322,6 +322,15 @@ class TestKeyNormalization:
         assert CampaignJournal(path, plan).load() == {0: 0.0}
 
 
+def _count_cells(path) -> int:
+    """Cell records the shared journal reader finds in ``path``."""
+    return sum(
+        1
+        for record, _ in journal_records(path)
+        if isinstance(record, dict) and record.get("kind") == "cell"
+    )
+
+
 class TestProgressProbes:
     """The orchestrator's journal tailing: cheap, incremental, kill-tolerant."""
 
@@ -332,9 +341,9 @@ class TestProgressProbes:
 
     def test_count_ignores_missing_file_and_header(self, tmp_path):
         path = tmp_path / "x.jsonl"
-        assert count_completed_cells(path) == 0
+        assert _count_cells(path) == 0
         path.write_text(json.dumps({"kind": "header"}) + "\n" + self._cell_line(0))
-        assert count_completed_cells(path) == 1
+        assert _count_cells(path) == 1
 
     def test_count_stops_at_partial_trailing_line(self, tmp_path):
         path = tmp_path / "x.jsonl"
@@ -342,7 +351,17 @@ class TestProgressProbes:
             json.dumps({"kind": "header"}) + "\n" + self._cell_line(0)
             + '{"kind": "cell", "ind'  # unterminated mid-write tail
         )
-        assert count_completed_cells(path) == 1
+        assert _count_cells(path) == 1
+
+    def test_reader_ends_at_first_unparsable_line_with_byte_lengths(self, tmp_path):
+        """The one journal-line rule: newline-terminated lines only, and the
+        first unparsable line ends the scan even when later lines parse."""
+        path = tmp_path / "x.jsonl"
+        header = json.dumps({"kind": "header"}) + "\n"
+        path.write_text(header + self._cell_line(0) + "garbage\n" + self._cell_line(1))
+        records = list(journal_records(path))
+        assert [record["kind"] for record, _ in records] == ["header", "cell"]
+        assert [size for _, size in records] == [len(header), len(self._cell_line(0))]
 
     def test_incremental_probe_reads_only_new_bytes(self, tmp_path):
         path = tmp_path / "x.jsonl"
@@ -381,7 +400,7 @@ class TestProgressProbes:
         for index in range(7):
             with path.open("a") as handle:
                 handle.write(self._cell_line(index))
-            assert progress.poll() == count_completed_cells(path) == index + 1
+            assert progress.poll() == _count_cells(path) == index + 1
 
     def test_probe_cost_is_linear_in_new_bytes_not_polls(self, tmp_path):
         """The regression guard for every journal-tailing loop (orchestrator

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.runtime.backends import build_backends
+from repro.runtime.backends import LocalProcessBackend, build_backends
 from repro.runtime.cells import CampaignPlan, CellTask
 from repro.runtime.cli import main
 from repro.runtime.orchestrator import ShardOrchestrator
@@ -341,6 +341,78 @@ class TestSpecValidation:
     def test_from_dict_requires_experiment_id(self):
         with pytest.raises(ServiceError):
             CampaignSpec.from_dict({"label": "nameless"})
+
+
+class TestServiceJournalFormat:
+    def test_literal_journal_record_readopts_and_launches_the_same_shard_argv(self, tmp_path):
+        """Pins the ``service.campaigns.jsonl`` format documented in
+        docs/RESULTS.md: a submission record written in exactly that form is
+        re-adopted under ``resume=True`` with the same spec, its shards are
+        launched with the request's argv, a campaign with a terminal record
+        is not re-adopted, and a partial trailing write is ignored."""
+        journal_dir = tmp_path / "journals"
+        journal_dir.mkdir()
+        (journal_dir / SERVICE_JOURNAL_NAME).write_text(
+            '{"kind": "campaign", "id": "c0003", "spec": {"experiment_id": "orch", '
+            '"label": "done", "tenant": "bob", "priority": 0, "shards": 2, "scale": null, '
+            '"seed": null, "workers_per_shard": 1, "batch_cells": 1, "vectorize": "auto"}}\n'
+            '{"kind": "state", "id": "c0003", "label": "done", "state": "merged", '
+            '"fingerprint": "f00d", "error": null, "cells_completed": {"1/2": 4, "2/2": 4}, '
+            '"duration_seconds": 1.5}\n'
+            '{"kind": "campaign", "id": "c0007", "spec": {"experiment_id": "orch", '
+            '"label": "alice-sweep", "tenant": "alice", "priority": 10, "shards": 2, '
+            '"scale": null, "seed": 7, "workers_per_shard": 3, "batch_cells": 2, '
+            '"vectorize": "off"}}\n'
+            '{"kind": "state", "id": "c0007", "sta',
+            encoding="utf8",
+        )
+
+        class Recording(LocalProcessBackend):
+            """Records each shard argv instead of launching it."""
+
+            commands = []
+
+            async def launch(self, command, *, env=None):
+                self.commands.append(list(command))
+                raise RuntimeError("recording only")
+
+        cache_dir = tmp_path / "cache"
+        service = CampaignService(
+            journal_dir,
+            backends=[Recording()],
+            scale="tiny",
+            cache_dir=cache_dir,
+            resume=True,
+            max_retries=0,
+            poll_interval=0.05,
+            plan_factory=lambda spec: _plan(),
+        )
+
+        async def scenario():
+            adopted = await service.start()
+            try:
+                await asyncio.gather(*(campaign.task for campaign in adopted))
+                return adopted
+            finally:
+                await service.close()
+
+        [campaign] = asyncio.run(scenario())
+        assert campaign.id == "c0007" and campaign.adopted
+        assert campaign.spec == CampaignSpec(
+            "orch", label="alice-sweep", tenant="alice", priority=10, shards=2,
+            seed=7, workers_per_shard=3, batch_cells=2, vectorize="off",
+        )
+        shard_dir = str(journal_dir / "alice-sweep")
+        assert sorted(Recording.commands) == [
+            [
+                sys.executable, "-m", "repro.runtime.cli", "orch",
+                "--shard", f"{index}/2", "--journal-dir", shard_dir,
+                "--scale", "tiny", "--workers", "3", "--batch-cells", "2",
+                "--vectorize", "off", "--seed", "7", "--cache-dir", str(cache_dir),
+            ]
+            for index in (1, 2)
+        ]
+        assert campaign.state == "failed"  # nothing really launched
 
 
 class TestChaosShardKill:
