@@ -7,14 +7,15 @@ network substrate, quantization codecs, a bit-level fault-injection engine,
 GridWorld and drone navigation environments, Q-learning / REINFORCE agents, a
 federated learning layer, the proposed mitigation schemes and an analytical
 drone performance model -- plus one experiment function per paper figure and
-table.
+table.  :class:`repro.runtime.CampaignRunner` runs any of them by id.
 
 Quickstart::
 
-    from repro.core import FaultCharacterizationFramework, GridWorldScale
+    from repro.core import GridWorldScale
+    from repro.runtime import CampaignRunner
 
-    framework = FaultCharacterizationFramework(gridworld_scale=GridWorldScale.tiny())
-    print(framework.run("fig9").render())
+    runner = CampaignRunner(gridworld_scale=GridWorldScale.tiny())
+    print(runner.run("fig9").render())
 """
 
 __version__ = "1.0.0"

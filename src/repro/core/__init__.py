@@ -17,7 +17,6 @@ from repro.core.workloads import (
     build_gridworld_single_system,
 )
 from repro.core.pretrained import PolicyCache, default_cache
-from repro.core.framework import FaultCharacterizationFramework
 
 from repro.core import experiments
 
@@ -34,6 +33,5 @@ __all__ = [
     "build_drone_single_system",
     "PolicyCache",
     "default_cache",
-    "FaultCharacterizationFramework",
     "experiments",
 ]

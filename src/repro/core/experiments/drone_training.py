@@ -36,6 +36,29 @@ def _build_system(scale: DroneScale, location: str, initial_state, seed_offset: 
     return build_drone_frl_system(scale, seed_offset=seed_offset, initial_state=initial_state)
 
 
+def _training_cell_parts(
+    location: str,
+    scale: DroneScale,
+    pretrained: dict,
+    ber: float,
+    injection_episode: int,
+    repeat: int,
+    row: int,
+    column: int,
+) -> tuple:
+    """The (system, callbacks) pair of one :func:`drone_training_cell`."""
+    system = _build_system(scale, location, pretrained, seed_offset=repeat)
+    fault_location = "server" if location == "server" else "agent"
+    callback = make_training_fault(
+        location=fault_location,
+        bit_error_rate=ber,
+        injection_episode=injection_episode,
+        datatype=scale.datatype,
+        rng=RngFactory(scale.seed).stream("drone-fi", repeat, row, column),
+    )
+    return system, [callback]
+
+
 def drone_training_cell(
     location: str,
     scale: DroneScale,
@@ -47,16 +70,10 @@ def drone_training_cell(
     column: int,
 ) -> float:
     """One (repeat, BER, injection-episode) cell of the Fig. 5 heatmaps."""
-    system = _build_system(scale, location, pretrained, seed_offset=repeat)
-    fault_location = "server" if location == "server" else "agent"
-    callback = make_training_fault(
-        location=fault_location,
-        bit_error_rate=ber,
-        injection_episode=injection_episode,
-        datatype=scale.datatype,
-        rng=RngFactory(scale.seed).stream("drone-fi", repeat, row, column),
+    system, callbacks = _training_cell_parts(
+        location, scale, pretrained, ber, injection_episode, repeat, row, column
     )
-    system.train(scale.fine_tune_episodes, callbacks=[callback])
+    system.train(scale.fine_tune_episodes, callbacks=callbacks)
     return system.average_flight_distance(attempts=scale.evaluation_attempts)
 
 
@@ -140,6 +157,21 @@ def drone_training_heatmap(
     return drone_training_plan(location, scale, ber_values, episode_fractions, cache).run_serial()
 
 
+def _count_cell_parts(
+    scale: DroneScale, count: int, location: str, ber: float, ber_index: int, pretrained: dict
+) -> tuple:
+    """The (system, callbacks) pair of one :func:`drone_count_cell`."""
+    system = build_drone_frl_system(scale.with_drones(count), initial_state=pretrained)
+    callback = make_training_fault(
+        location=location,
+        bit_error_rate=ber,
+        injection_episode=max(0, scale.fine_tune_episodes // 2),
+        datatype=scale.datatype,
+        rng=RngFactory(scale.seed).stream("count", count, location, ber_index),
+    )
+    return system, [callback]
+
+
 def drone_count_cell(
     scale: DroneScale,
     count: int,
@@ -149,16 +181,8 @@ def drone_count_cell(
     pretrained: dict,
 ) -> float:
     """One (drone count, fault location, BER) point of the Fig. 6a sweep."""
-    count_scale = scale.with_drones(count)
-    system = build_drone_frl_system(count_scale, initial_state=pretrained)
-    callback = make_training_fault(
-        location=location,
-        bit_error_rate=ber,
-        injection_episode=max(0, scale.fine_tune_episodes // 2),
-        datatype=scale.datatype,
-        rng=RngFactory(scale.seed).stream("count", count, location, ber_index),
-    )
-    system.train(scale.fine_tune_episodes, callbacks=[callback])
+    system, callbacks = _count_cell_parts(scale, count, location, ber, ber_index, pretrained)
+    system.train(scale.fine_tune_episodes, callbacks=callbacks)
     return system.average_flight_distance(attempts=scale.evaluation_attempts)
 
 
@@ -240,7 +264,7 @@ def drone_count_sweep(
 _INTERVAL_SCENARIOS = ("no_fault", "agent_fault", "server_fault")
 
 
-def communication_interval_cell(
+def _interval_cell_parts(
     scale: DroneScale,
     multiplier: int,
     scenario: str,
@@ -249,12 +273,7 @@ def communication_interval_cell(
     injection_episode: int,
     pretrained: dict,
 ) -> tuple:
-    """One (interval multiplier, fault scenario) run of the Fig. 6b study.
-
-    Returns ``(flight_distance, communication_rounds)``; the merge step only
-    uses the round count from the ``no_fault`` scenario, matching the
-    historical serial loop.
-    """
+    """The (system, callbacks) pair of one :func:`communication_interval_cell`."""
     schedule = CommunicationSchedule(
         base_interval=scale.communication_interval,
         multiplier=multiplier,
@@ -273,6 +292,27 @@ def communication_interval_cell(
                 rng=RngFactory(scale.seed).stream("interval", multiplier, scenario),
             )
         )
+    return system, callbacks
+
+
+def communication_interval_cell(
+    scale: DroneScale,
+    multiplier: int,
+    scenario: str,
+    fault_ber: float,
+    switch_episode: int,
+    injection_episode: int,
+    pretrained: dict,
+) -> tuple:
+    """One (interval multiplier, fault scenario) run of the Fig. 6b study.
+
+    Returns ``(flight_distance, communication_rounds)``; the merge step only
+    uses the round count from the ``no_fault`` scenario, matching the
+    historical serial loop.
+    """
+    system, callbacks = _interval_cell_parts(
+        scale, multiplier, scenario, fault_ber, switch_episode, injection_episode, pretrained
+    )
     log = system.train(scale.fine_tune_episodes, callbacks=callbacks)
     distance = system.average_flight_distance(attempts=scale.evaluation_attempts)
     return distance, float(log.communication_count)
@@ -354,8 +394,8 @@ def communication_interval_study(
 
 
 # ------------------------------------------------------------ vectorized groups
-# Each group runner rebuilds every cell's system and fault callback with the
-# exact serial prologue (independent SeedSequence streams make build order
+# Each group runner builds every cell's system and fault callback with the
+# cell's own builder (independent SeedSequence streams make build order
 # irrelevant), then trains and evaluates all cells as lanes of one lockstep
 # pass.  If the group cannot run in lockstep (mixed env configs or network
 # topologies, activation-target faults), it falls back to the serial cell
@@ -363,75 +403,11 @@ def communication_interval_study(
 # nothing but time.
 
 
-def _training_cell_parts(kwargs: dict) -> tuple:
-    """The (system, callbacks) pair :func:`drone_training_cell` would build."""
-    scale = kwargs["scale"]
-    system = _build_system(
-        scale, kwargs["location"], kwargs["pretrained"], seed_offset=kwargs["repeat"]
-    )
-    fault_location = "server" if kwargs["location"] == "server" else "agent"
-    callback = make_training_fault(
-        location=fault_location,
-        bit_error_rate=kwargs["ber"],
-        injection_episode=kwargs["injection_episode"],
-        datatype=scale.datatype,
-        rng=RngFactory(scale.seed).stream(
-            "drone-fi", kwargs["repeat"], kwargs["row"], kwargs["column"]
-        ),
-    )
-    return system, [callback]
-
-
-def _count_cell_parts(kwargs: dict) -> tuple:
-    """The (system, callbacks) pair :func:`drone_count_cell` would build."""
-    scale = kwargs["scale"]
-    count_scale = scale.with_drones(kwargs["count"])
-    system = build_drone_frl_system(count_scale, initial_state=kwargs["pretrained"])
-    callback = make_training_fault(
-        location=kwargs["location"],
-        bit_error_rate=kwargs["ber"],
-        injection_episode=max(0, scale.fine_tune_episodes // 2),
-        datatype=scale.datatype,
-        rng=RngFactory(scale.seed).stream(
-            "count", kwargs["count"], kwargs["location"], kwargs["ber_index"]
-        ),
-    )
-    return system, [callback]
-
-
-def _interval_cell_parts(kwargs: dict) -> tuple:
-    """The (system, callbacks) pair :func:`communication_interval_cell` builds."""
-    scale = kwargs["scale"]
-    schedule = CommunicationSchedule(
-        base_interval=scale.communication_interval,
-        multiplier=kwargs["multiplier"],
-        switch_episode=kwargs["switch_episode"],
-    )
-    system = build_drone_frl_system(
-        scale, initial_state=kwargs["pretrained"], schedule=schedule
-    )
-    callbacks = []
-    if kwargs["scenario"] != "no_fault":
-        location = "agent" if kwargs["scenario"] == "agent_fault" else "server"
-        callbacks.append(
-            make_training_fault(
-                location=location,
-                bit_error_rate=kwargs["fault_ber"],
-                injection_episode=kwargs["injection_episode"],
-                datatype=scale.datatype,
-                rng=RngFactory(scale.seed).stream(
-                    "interval", kwargs["multiplier"], kwargs["scenario"]
-                ),
-            )
-        )
-    return system, callbacks
-
-
 def _run_group(kwargs_list, build_parts, serial_fn, with_rounds: bool = False):
     """Train and evaluate a group of cells in lockstep (or fall back serially)."""
     systems, callbacks = [], []
     for kwargs in kwargs_list:
-        system, cell_callbacks = build_parts(kwargs)
+        system, cell_callbacks = build_parts(**kwargs)
         systems.append(system)
         callbacks.append(cell_callbacks)
     attempts = {kwargs["scale"].evaluation_attempts for kwargs in kwargs_list}

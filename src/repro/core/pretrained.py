@@ -25,7 +25,6 @@ from repro.core.workloads import (
     build_drone_frl_system,
     build_gridworld_frl_system,
     build_gridworld_single_system,
-    drone_environments,
 )
 from repro.rl.pretrain import PretrainConfig, behaviour_clone
 from repro.runtime.residency import PolicyRef
@@ -108,21 +107,20 @@ class PolicyCache:
         return self._ref(key, "policy")
 
     # ------------------------------------------------------- GridWorld baseline
-    def gridworld_policies(self, scale: GridWorldScale, refresh: bool = False) -> dict:
+    def gridworld_policies(self, scale: GridWorldScale) -> dict:
         """Trained GridWorld FRL policies for ``scale``.
 
         Returns a dict with the consensus policy, every agent's policy and the
         clean success rate measured right after training.
         """
         key = _scale_key("gridworld", scale)
-        if not refresh:
-            cached = self.load(key)
-            if cached is not None:
-                return {
-                    "consensus": state_dict_from_lists(cached["consensus"]),
-                    "agents": [state_dict_from_lists(state) for state in cached["agents"]],
-                    "success_rate": cached["success_rate"],
-                }
+        cached = self.load(key)
+        if cached is not None:
+            return {
+                "consensus": state_dict_from_lists(cached["consensus"]),
+                "agents": [state_dict_from_lists(state) for state in cached["agents"]],
+                "success_rate": cached["success_rate"],
+            }
         system = build_gridworld_frl_system(scale)
         system.train(scale.episodes)
         consensus = system.consensus_state()
@@ -138,7 +136,7 @@ class PolicyCache:
         )
         return {"consensus": consensus, "agents": agents, "success_rate": success_rate}
 
-    def gridworld_single_policy(self, scale: GridWorldScale, refresh: bool = False) -> StateDict:
+    def gridworld_single_policy(self, scale: GridWorldScale) -> StateDict:
         """Trained single-agent GridWorld baseline policy for ``scale``.
 
         Used by the inference-time sweeps (Fig. 4's Single-Trans-M curve);
@@ -147,10 +145,9 @@ class PolicyCache:
         bit-identical to a freshly trained one.
         """
         key = _scale_key("gridworld-single", scale)
-        if not refresh:
-            cached = self.load(key)
-            if cached is not None:
-                return state_dict_from_lists(cached["policy"])
+        cached = self.load(key)
+        if cached is not None:
+            return state_dict_from_lists(cached["policy"])
         system = build_gridworld_single_system(scale, environment_count=1)
         system.train(scale.episodes)
         policy = system.consensus_state()
@@ -158,7 +155,7 @@ class PolicyCache:
         return policy
 
     # --------------------------------------------------------- DroneNav baseline
-    def drone_policy(self, scale: DroneScale, refresh: bool = False) -> dict:
+    def drone_policy(self, scale: DroneScale) -> dict:
         """Offline pre-trained drone policy for ``scale``.
 
         The policy is behaviour-cloned from the depth-seeking expert pilot
@@ -167,14 +164,13 @@ class PolicyCache:
         flight distance.
         """
         key = _scale_key("drone", scale)
-        if not refresh:
-            cached = self.load(key)
-            if cached is not None:
-                return {
-                    "policy": state_dict_from_lists(cached["policy"]),
-                    "accuracy": cached["accuracy"],
-                    "flight_distance": cached["flight_distance"],
-                }
+        cached = self.load(key)
+        if cached is not None:
+            return {
+                "policy": state_dict_from_lists(cached["policy"]),
+                "accuracy": cached["accuracy"],
+                "flight_distance": cached["flight_distance"],
+            }
         system = build_drone_frl_system(scale)
         envs = [agent.env for agent in system.agents]
         reference_agent = system.agents[0].agent
@@ -210,7 +206,3 @@ def default_cache() -> PolicyCache:
         _DEFAULT_CACHE = PolicyCache()
     return _DEFAULT_CACHE
 
-
-def drone_environments_for(scale: DroneScale):
-    """Re-export of the per-drone environments (used by inference experiments)."""
-    return drone_environments(scale)

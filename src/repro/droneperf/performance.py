@@ -54,13 +54,6 @@ class ProtectionOverheadResult:
     platform: str
     estimates: Dict[str, FlightEstimate]
 
-    def distance_degradation(self, scheme: str, reference: str = "baseline") -> float:
-        """Fractional flight-distance loss of ``scheme`` relative to ``reference``."""
-        ref = self.estimates[reference].flight_distance_m
-        if ref <= 0:
-            raise ValueError("reference flight distance must be positive")
-        return 1.0 - self.estimates[scheme].flight_distance_m / ref
-
 
 def estimate_flight(
     platform: DronePlatform,

@@ -25,14 +25,9 @@ class BitErrorRate:
         if not 0.0 <= self.rate <= 1.0:
             raise ValueError(f"bit error rate must be within [0, 1], got {self.rate}")
 
-    @classmethod
-    def from_percent(cls, percent: float) -> "BitErrorRate":
-        """Build a rate from the paper's percent notation (``2.0`` -> 0.02)."""
-        return cls(percent / 100.0)
-
     @property
     def percent(self) -> float:
-        """The rate expressed as a percentage (inverse of :meth:`from_percent`)."""
+        """The rate in the paper's percent notation (0.02 -> ``2.0``)."""
         return self.rate * 100.0
 
     def fault_count(self, total_bits: int, rng: np.random.Generator) -> int:
@@ -54,8 +49,3 @@ class BitErrorRate:
 def fault_count_for(total_bits: int, rate: float, rng: np.random.Generator) -> int:
     """Sample the number of bit faults for one exposure of ``total_bits``."""
     return faults_for_ber(total_bits, rate, rng)
-
-
-def sweep_from_percent(percents) -> list:
-    """Convenience: build a list of BitErrorRate from percentage values."""
-    return [BitErrorRate.from_percent(p) for p in percents]

@@ -60,18 +60,6 @@ class ActivationFaultHook(Module):
         """The wrapped layer's named parameters under ``prefix``."""
         return self.wrapped.named_parameters(prefix=prefix)
 
-    def train(self) -> "ActivationFaultHook":
-        """Put the hook and the wrapped layer into training mode."""
-        super().train()
-        self.wrapped.train()
-        return self
-
-    def eval(self) -> "ActivationFaultHook":
-        """Put the hook and the wrapped layer into evaluation mode."""
-        super().eval()
-        self.wrapped.eval()
-        return self
-
 
 def attach_activation_faults(
     network: Sequential,

@@ -144,28 +144,6 @@ class FaultInjector:
             cursor += size
         return corrupted
 
-    def corrupt_single_bit(self, values: np.ndarray) -> np.ndarray:
-        """Flip exactly one random bit — the paper's single-bit-flip baseline."""
-        values = np.asarray(values, dtype=np.float64)
-        if values.size == 0:
-            return values.copy()
-        codes, context = self.datatype.encode(values)
-        element = self._rng.integers(0, values.size, size=1)
-        bit = random_bit_positions(self._rng, 1, self.datatype.bit_width)
-        corrupted_codes = self.model.apply(codes, element, bit, self.datatype.bit_width)
-        self.history.append(
-            InjectionRecord(
-                total_bits=values.size * self.datatype.bit_width,
-                flipped_bits=1,
-                bit_error_rate=1.0 / (values.size * self.datatype.bit_width),
-                target_elements=values.size,
-                corrupted_elements=1,
-                datatype=self.datatype.name,
-                model=self.model.name,
-            )
-        )
-        return self.datatype.decode(corrupted_codes, context).reshape(values.shape)
-
     @staticmethod
     def corrupt_lanes(
         injectors: Sequence["FaultInjector"],
@@ -284,10 +262,6 @@ class FaultInjector:
     def total_injected_bits(self) -> int:
         """Total number of bits upset across all recorded injections."""
         return sum(record.flipped_bits for record in self.history)
-
-    def clear_history(self) -> None:
-        """Drop every recorded injection event (test isolation helper)."""
-        self.history.clear()
 
 
 #: Module-level alias: the lane-batched corruption entry point.

@@ -26,23 +26,8 @@ class FaultLocation(Enum):
 
     @classmethod
     def parse(cls, value) -> "FaultLocation":
-        """Coerce a string/enum ``value`` into a :class:`FaultLocation` (accepts paper aliases)."""
-        if isinstance(value, cls):
-            return value
-        key = str(value).lower().replace("-", "_")
-        aliases = {
-            "agent": cls.AGENT,
-            "server": cls.SERVER,
-            "agent_to_server": cls.AGENT_TO_SERVER,
-            "uplink": cls.AGENT_TO_SERVER,
-            "server_to_agent": cls.SERVER_TO_AGENT,
-            "downlink": cls.SERVER_TO_AGENT,
-            "communication_up": cls.AGENT_TO_SERVER,
-            "communication_down": cls.SERVER_TO_AGENT,
-        }
-        if key not in aliases:
-            raise KeyError(f"unknown fault location {value!r}")
-        return aliases[key]
+        """Coerce an enum member or its value (``"agent"``, ...) into a :class:`FaultLocation`."""
+        return _parse_member(cls, value, "fault location")
 
 
 class FaultTarget(Enum):
@@ -54,23 +39,18 @@ class FaultTarget(Enum):
 
     @classmethod
     def parse(cls, value) -> "FaultTarget":
-        """Coerce a string/enum ``value`` into a :class:`FaultTarget` (accepts paper aliases)."""
-        if isinstance(value, cls):
-            return value
-        key = str(value).lower()
-        aliases = {
-            "weights": cls.WEIGHTS,
-            "weight": cls.WEIGHTS,
-            "activations": cls.ACTIVATIONS,
-            "activation": cls.ACTIVATIONS,
-            "feature_maps": cls.ACTIVATIONS,
-            "communicated_parameters": cls.COMMUNICATED_PARAMETERS,
-            "communication": cls.COMMUNICATED_PARAMETERS,
-            "parameters": cls.COMMUNICATED_PARAMETERS,
-        }
-        if key not in aliases:
-            raise KeyError(f"unknown fault target {value!r}")
-        return aliases[key]
+        """Coerce an enum member or its value (``"weights"``, ...) into a :class:`FaultTarget`."""
+        return _parse_member(cls, value, "fault target")
+
+
+def _parse_member(enum: type, value, kind: str):
+    """The member of ``enum`` that is, or has the value, ``value``."""
+    if isinstance(value, enum):
+        return value
+    accepted = [member.value for member in enum]
+    if value not in accepted:
+        raise KeyError(f"unknown {kind} {value!r}; accepted: {accepted}")
+    return enum(value)
 
 
 def effective_class(location: FaultLocation) -> str:

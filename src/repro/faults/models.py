@@ -70,26 +70,13 @@ class StuckAt1(FaultModel):
         return set_bits(codes, element_indices, bit_positions, bit_width, value=1)
 
 
-_MODEL_REGISTRY = {
-    "transient": TransientBitFlip,
-    "bitflip": TransientBitFlip,
-    "bit-flip": TransientBitFlip,
-    "stuck-at-0": StuckAt0,
-    "stuck_at_0": StuckAt0,
-    "sa0": StuckAt0,
-    "stuck-at-1": StuckAt1,
-    "stuck_at_1": StuckAt1,
-    "sa1": StuckAt1,
-}
+_MODELS = {model.name: model for model in (TransientBitFlip, StuckAt0, StuckAt1)}
 
 
 def resolve_fault_model(model: Union[str, FaultModel]) -> FaultModel:
-    """Resolve a fault-model name into an instance."""
+    """Resolve a fault model by its :attr:`FaultModel.name` into an instance."""
     if isinstance(model, FaultModel):
         return model
-    key = str(model).lower()
-    if key not in _MODEL_REGISTRY:
-        raise KeyError(
-            f"unknown fault model {model!r}; known models: {sorted(set(_MODEL_REGISTRY))}"
-        )
-    return _MODEL_REGISTRY[key]()
+    if model not in _MODELS:
+        raise KeyError(f"unknown fault model {model!r}; known models: {sorted(_MODELS)}")
+    return _MODELS[model]()

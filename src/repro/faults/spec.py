@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Union
+from typing import Optional
 
 from repro.faults.ber import BitErrorRate
 from repro.faults.locations import FaultLocation, FaultTarget, effective_class
@@ -81,33 +81,6 @@ class FaultSpec:
         """The paper's two-way agent/server grouping."""
         return effective_class(self.location)
 
-    def with_ber(self, rate: Union[float, BitErrorRate]) -> "FaultSpec":
-        """Copy of this spec at a different bit-error rate."""
-        ber = rate if isinstance(rate, BitErrorRate) else BitErrorRate(float(rate))
-        return FaultSpec(
-            location=self.location,
-            target=self.target,
-            bit_error_rate=ber,
-            model=self.model,
-            mode=self.mode,
-            scope=self.scope,
-            injection_episode=self.injection_episode,
-            agent_index=self.agent_index,
-        )
-
-    def with_episode(self, episode: Optional[int]) -> "FaultSpec":
-        """Copy of this spec injected at a different episode."""
-        return FaultSpec(
-            location=self.location,
-            target=self.target,
-            bit_error_rate=self.bit_error_rate,
-            model=self.model,
-            mode=self.mode,
-            scope=self.scope,
-            injection_episode=episode,
-            agent_index=self.agent_index,
-        )
-
     def describe(self) -> str:
         """Human-readable one-line summary of the fault scenario."""
         where = self.location.value
@@ -119,7 +92,3 @@ class FaultSpec:
             f"at BER={self.bit_error_rate.rate:g} ({self.mode.value}, {when})"
         )
 
-
-def baseline_spec() -> FaultSpec:
-    """The fault-free reference scenario."""
-    return FaultSpec(bit_error_rate=BitErrorRate(0.0))

@@ -53,12 +53,5 @@ class FederatedAgent:
         """This agent's mean evaluation flight distance on its own environment."""
         return evaluate_flight_distance(self.agent, self.env, attempts=attempts)
 
-    def recent_average_reward(self, window: int = 20) -> float:
-        """Mean reward over the last ``window`` episodes (0 if none yet)."""
-        if not self.reward_history:
-            return 0.0
-        recent = self.reward_history[-window:]
-        return float(np.mean(recent))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"FederatedAgent(index={self.index}, name={self.name!r})"

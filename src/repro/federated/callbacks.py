@@ -1,23 +1,24 @@
 """Training callbacks: the hook points for fault injection and mitigation.
 
-The FRL trainer calls these hooks at well-defined points of every episode and
-communication round.  Fault injectors implement the ``transform_*`` hooks to
-corrupt parameters at the corresponding location; mitigation schemes implement
-``on_round_end`` to detect reward drops and restore checkpoints.
+The FRL trainer calls these hooks at well-defined points of every episode.
+Faults enter training only through
+:class:`repro.core.fault_callbacks.TrainingFaultCallback`, which uses the
+episode hooks: ``on_episode_start`` attaches activation faults and
+``on_round_end`` corrupts an agent's or the server's weights after the
+episode's communication round.  Link faults need no hook of their own,
+because the paper counts them as agent or server faults
+(:func:`repro.faults.locations.effective_class`).  Mitigation schemes also
+implement ``on_round_end``, to detect reward drops and restore checkpoints.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Sequence
 
 from repro.rl.base import EpisodeStats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checking only
     from repro.federated.system import FRLSystem
-
-StateDict = Dict[str, np.ndarray]
 
 
 class TrainingCallback:
@@ -34,24 +35,6 @@ class TrainingCallback:
     ) -> None:
         """Called after each agent's local episode."""
 
-    def transform_upload(
-        self, system: "FRLSystem", episode: int, agent_index: int, state: StateDict
-    ) -> StateDict:
-        """Transform parameters the server receives from ``agent_index``."""
-        return state
-
-    def transform_server_state(
-        self, system: "FRLSystem", episode: int, state: StateDict
-    ) -> StateDict:
-        """Transform the server's aggregated (consensus) parameters."""
-        return state
-
-    def transform_broadcast(
-        self, system: "FRLSystem", episode: int, agent_index: int, state: StateDict
-    ) -> StateDict:
-        """Transform parameters ``agent_index`` receives from the server."""
-        return state
-
     def on_round_end(self, system: "FRLSystem", episode: int, communicated: bool) -> None:
         """Called at the very end of every episode (after any communication)."""
 
@@ -60,7 +43,7 @@ class TrainingCallback:
 
 
 class CallbackList(TrainingCallback):
-    """Compose multiple callbacks; transforms are applied in order."""
+    """Compose multiple callbacks; each hook fires in registration order."""
 
     def __init__(self, callbacks: Sequence[TrainingCallback] = ()) -> None:
         self.callbacks: List[TrainingCallback] = list(callbacks)
@@ -83,24 +66,6 @@ class CallbackList(TrainingCallback):
         """Fan ``on_agent_episode_end`` out to every callback, in registration order."""
         for callback in self.callbacks:
             callback.on_agent_episode_end(system, episode, agent_index, stats)
-
-    def transform_upload(self, system, episode, agent_index, state):
-        """Thread one agent's upload state through every callback's transform."""
-        for callback in self.callbacks:
-            state = callback.transform_upload(system, episode, agent_index, state)
-        return state
-
-    def transform_server_state(self, system, episode, state):
-        """Thread the server's aggregated state through every callback's transform."""
-        for callback in self.callbacks:
-            state = callback.transform_server_state(system, episode, state)
-        return state
-
-    def transform_broadcast(self, system, episode, agent_index, state):
-        """Thread one agent's broadcast state through every callback's transform."""
-        for callback in self.callbacks:
-            state = callback.transform_broadcast(system, episode, agent_index, state)
-        return state
 
     def on_round_end(self, system, episode, communicated) -> None:
         """Fan ``on_round_end`` out to every callback, in registration order."""

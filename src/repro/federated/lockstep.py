@@ -151,7 +151,7 @@ def train_group_lockstep(
                 system.log.episode_rewards.append(rewards)
                 communicated = False
                 if system.schedule.should_communicate(episode) and system.agent_count > 1:
-                    system.communication_round(episode, callback)
+                    system.communication_round(episode)
                     communicated = True
                 callback.on_round_end(system, episode, communicated)
             else:

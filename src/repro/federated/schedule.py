@@ -39,7 +39,3 @@ class CommunicationSchedule:
         """True when a communication round happens at the end of ``episode``."""
         interval = self.interval_at(episode)
         return (episode + 1) % interval == 0
-
-    def communications_until(self, episodes: int) -> int:
-        """Total number of communication rounds over ``episodes`` episodes."""
-        return sum(1 for episode in range(episodes) if self.should_communicate(episode))

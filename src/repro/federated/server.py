@@ -46,19 +46,6 @@ class FederatedServer:
         self.round_index += 1
         return broadcasts
 
-    def broadcast_from_consensus(self, agent_count: int) -> List[StateDict]:
-        """Broadcast the stored consensus policy to every agent.
-
-        Used after checkpoint recovery, when the server replaces faulty
-        parameters with the checkpointed consensus rather than re-aggregating.
-        """
-        if self._consensus is None:
-            raise RuntimeError("server has no consensus policy yet")
-        return [
-            {name: np.array(value, copy=True) for name, value in self._consensus.items()}
-            for _ in range(agent_count)
-        ]
-
     def reset(self) -> None:
         """Forget all rounds, uploads and consensus state (fresh training run)."""
         self.round_index = 0

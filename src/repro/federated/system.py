@@ -1,12 +1,12 @@
 """The FRL training orchestrator.
 
 One :class:`FRLSystem` owns ``n`` federated agents (each with its own
-environment), the server, the communication channel and the communication
-schedule.  Every episode each agent trains locally; at the end of episodes
-selected by the schedule the agents upload their parameters, the server
-aggregates them with the smoothing average and the new parameters are
-broadcast back.  Fault injection and mitigation plug in through
-:class:`repro.federated.callbacks.TrainingCallback` hooks.
+environment), the server and the communication schedule.  Every episode each
+agent trains locally; at the end of episodes selected by the schedule the
+agents upload their parameters, the server aggregates them with the smoothing
+average and the new parameters are broadcast back.  Fault injection and
+mitigation plug in through the episode hooks of
+:class:`repro.federated.callbacks.TrainingCallback`.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import numpy as np
 
 from repro.federated.agent import FederatedAgent
 from repro.federated.callbacks import CallbackList, TrainingCallback
-from repro.federated.communication import CommunicationChannel
 from repro.federated.schedule import CommunicationSchedule
 from repro.federated.server import FederatedServer
 
@@ -43,35 +42,24 @@ class TrainingLog:
         """Number of communication rounds recorded so far."""
         return len(self.communication_episodes)
 
-    def mean_reward(self, episode: int) -> float:
-        """The episode's reward averaged over agents (0.0 when empty)."""
-        rewards = self.episode_rewards[episode]
-        return float(np.mean(rewards)) if rewards else 0.0
-
-    def agent_rewards(self, agent_index: int) -> List[float]:
-        """One agent's reward trajectory across every recorded episode."""
-        return [rewards[agent_index] for rewards in self.episode_rewards]
-
     def record_event(self, episode: int, kind: str, **details) -> None:
         """Append a structured event (communication, fault, recovery) to the log."""
         self.events.append({"episode": episode, "kind": kind, **details})
 
 
 class FRLSystem:
-    """Federated reinforcement learning system (agents + server + channel)."""
+    """Federated reinforcement learning system (agents + server + schedule)."""
 
     def __init__(
         self,
         agents: Sequence[FederatedAgent],
         server: Optional[FederatedServer] = None,
-        channel: Optional[CommunicationChannel] = None,
         schedule: Optional[CommunicationSchedule] = None,
     ) -> None:
         if not agents:
             raise ValueError("an FRL system needs at least one agent")
         self.agents: List[FederatedAgent] = list(agents)
         self.server = server or FederatedServer()
-        self.channel = channel or CommunicationChannel()
         self.schedule = schedule or CommunicationSchedule()
         self.log = TrainingLog()
 
@@ -108,32 +96,17 @@ class FRLSystem:
             self.log.episode_rewards.append(rewards)
             communicated = False
             if self.schedule.should_communicate(episode) and self.agent_count > 1:
-                self.communication_round(episode, callback)
+                self.communication_round(episode)
                 communicated = True
             callback.on_round_end(self, episode, communicated)
         callback.on_training_end(self)
         return self.log
 
-    def communication_round(self, episode: int, callback: Optional[TrainingCallback] = None) -> None:
-        """One upload → aggregate → broadcast round with fault hooks."""
-        callback = callback or CallbackList()
-        uploads: List[StateDict] = []
-        for agent in self.agents:
-            state = self.channel.uplink(agent.upload_state())
-            state = callback.transform_upload(self, episode, agent.index, state)
-            uploads.append(state)
-        broadcasts = self.server.aggregate(uploads)
-        consensus = callback.transform_server_state(self, episode, self.server.consensus)
-        if consensus is not self.server.consensus:
-            # A server fault (or recovery) replaced the consensus: rebuild the
-            # per-agent broadcasts from the corrupted/restored consensus so the
-            # fault reaches every agent, as in the paper's server-fault model.
-            self.server.set_consensus(consensus)
-            broadcasts = self.server.broadcast_from_consensus(self.agent_count)
+    def communication_round(self, episode: int) -> None:
+        """One upload → aggregate → broadcast round."""
+        broadcasts = self.server.aggregate([agent.upload_state() for agent in self.agents])
         for agent, broadcast in zip(self.agents, broadcasts):
-            state = self.channel.downlink(broadcast)
-            state = callback.transform_broadcast(self, episode, agent.index, state)
-            agent.receive_state(state)
+            agent.receive_state(broadcast)
         self.log.communication_episodes.append(episode)
 
     # -------------------------------------------------------------- evaluation
@@ -157,10 +130,3 @@ class FRLSystem:
     def corrupt_agent(self, agent_index: int, corrupted_state: StateDict) -> None:
         """Overwrite one agent's policy with externally corrupted parameters."""
         self.agents[agent_index].receive_state(corrupted_state)
-
-    def corrupt_all_agents(self, corrupted_states: Sequence[StateDict]) -> None:
-        """Overwrite every agent's policy (server-fault propagation)."""
-        if len(corrupted_states) != self.agent_count:
-            raise ValueError("need one corrupted state per agent")
-        for agent, state in zip(self.agents, corrupted_states):
-            agent.receive_state(state)

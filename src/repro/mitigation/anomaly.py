@@ -59,10 +59,6 @@ class RangeAnomalyDetector:
         self._ranges: Dict[str, WeightRange] = {}
 
     @property
-    def is_calibrated(self) -> bool:
-        return bool(self._ranges)
-
-    @property
     def ranges(self) -> Dict[str, WeightRange]:
         return dict(self._ranges)
 
@@ -86,10 +82,6 @@ class RangeAnomalyDetector:
                 raise KeyError(f"layer {name!r} was not seen during calibration")
             anomalies[name] = ~self._ranges[name].contains(values)
         return anomalies
-
-    def anomaly_count(self, state: StateDict) -> int:
-        """Total number of out-of-range values in ``state``."""
-        return int(sum(mask.sum() for mask in self.detect(state).values()))
 
     def repair(self, state: StateDict) -> Tuple[StateDict, int]:
         """Suppress anomalous values; returns (repaired state, #repaired).

@@ -10,23 +10,16 @@ the exact tensors the policies compute with.
 
 from repro.nn.parameter import Parameter
 from repro.nn.module import Module, Sequential
-from repro.nn.layers import Dropout, Flatten, Linear
-from repro.nn.activations import ReLU, Sigmoid, Softmax, Tanh
+from repro.nn.layers import Flatten, Linear
+from repro.nn.activations import ReLU, Softmax
 from repro.nn.conv import Conv2d, MaxPool2d
-from repro.nn.losses import (
-    CrossEntropyLoss,
-    HuberLoss,
-    MSELoss,
-    log_softmax,
-    softmax,
-)
+from repro.nn.losses import HuberLoss, softmax
 from repro.nn.optim import SGD, Adam, Optimizer
 from repro.nn.init import he_uniform, xavier_uniform, zeros_init
 from repro.nn.network import (
     build_drone_policy_network,
     build_gridworld_q_network,
     clone_state_dict,
-    count_parameters,
     load_state_dict,
     state_dict,
 )
@@ -37,18 +30,12 @@ __all__ = [
     "Sequential",
     "Linear",
     "Flatten",
-    "Dropout",
     "ReLU",
-    "Tanh",
-    "Sigmoid",
     "Softmax",
     "Conv2d",
     "MaxPool2d",
-    "MSELoss",
     "HuberLoss",
-    "CrossEntropyLoss",
     "softmax",
-    "log_softmax",
     "Optimizer",
     "SGD",
     "Adam",
@@ -60,5 +47,4 @@ __all__ = [
     "state_dict",
     "load_state_dict",
     "clone_state_dict",
-    "count_parameters",
 ]

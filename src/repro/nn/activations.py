@@ -27,48 +27,6 @@ class ReLU(Module):
         return np.asarray(grad_output, dtype=np.float64) * self._cached_mask
 
 
-class Tanh(Module):
-    """Hyperbolic tangent."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._cached_output: Optional[np.ndarray] = None
-
-    def forward(self, inputs: np.ndarray) -> np.ndarray:
-        self._cached_output = np.tanh(np.asarray(inputs, dtype=np.float64))
-        return self._cached_output
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._cached_output is None:
-            raise RuntimeError("backward called before forward")
-        return np.asarray(grad_output, dtype=np.float64) * (1.0 - self._cached_output**2)
-
-
-class Sigmoid(Module):
-    """Logistic sigmoid."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._cached_output: Optional[np.ndarray] = None
-
-    def forward(self, inputs: np.ndarray) -> np.ndarray:
-        inputs = np.asarray(inputs, dtype=np.float64)
-        # Numerically stable piecewise formulation.
-        output = np.empty_like(inputs)
-        positive = inputs >= 0
-        output[positive] = 1.0 / (1.0 + np.exp(-inputs[positive]))
-        exp_x = np.exp(inputs[~positive])
-        output[~positive] = exp_x / (1.0 + exp_x)
-        self._cached_output = output
-        return output
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._cached_output is None:
-            raise RuntimeError("backward called before forward")
-        sig = self._cached_output
-        return np.asarray(grad_output, dtype=np.float64) * sig * (1.0 - sig)
-
-
 class Softmax(Module):
     """Row-wise softmax layer.
 

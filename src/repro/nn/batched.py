@@ -40,7 +40,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.nn.activations import ReLU, Softmax
-from repro.nn.conv import Conv2d, MaxPool2d, _output_size, im2col
+from repro.nn.conv import Conv2d, MaxPool2d, _output_size, im2col, unfold_patches
 from repro.nn.layers import Flatten, Linear
 from repro.nn.module import Module, Sequential
 
@@ -201,27 +201,11 @@ class StackedPolicy:
         module: Conv2d, x: np.ndarray, weight: np.ndarray, bias: Optional[np.ndarray]
     ) -> np.ndarray:
         """Per-lane conv: stacked im2col + batched matmul, serial op order."""
-        lanes, channels, height, width = x.shape
         kernel = module.kernel_size
-        stride = module.stride
-        padding = module.padding
-        out_h = _output_size(height, kernel, stride, padding)
-        out_w = _output_size(width, kernel, stride, padding)
-        padded = np.pad(
-            x, ((0, 0), (0, 0), (padding, padding), (padding, padding)), mode="constant"
-        )
-        # One vectorized im2col fill for all lanes (the expensive python
-        # slicing loop runs once, not once per lane).
-        columns = np.empty(
-            (lanes, channels, kernel, kernel, out_h, out_w), dtype=x.dtype
-        )
-        for row in range(kernel):
-            row_end = row + stride * out_h
-            for col in range(kernel):
-                col_end = col + stride * out_w
-                columns[:, :, row, col, :, :] = padded[
-                    :, :, row:row_end:stride, col:col_end:stride
-                ]
+        # One unfold for all lanes (the expensive python slicing loop runs
+        # once, not once per lane).
+        columns = unfold_patches(x, kernel, kernel, module.stride, module.padding)
+        lanes, channels, _, _, out_h, out_w = columns.shape
         features = channels * kernel * kernel
         out = np.empty((lanes, out_h * out_w, module.out_channels))
         for lane in range(lanes):

@@ -28,14 +28,15 @@ def _output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return out
 
 
-def im2col(
+def unfold_patches(
     inputs: np.ndarray, kernel_h: int, kernel_w: int, stride: int, padding: int
-) -> Tuple[np.ndarray, Tuple[int, int]]:
-    """Unfold image patches into columns.
+) -> np.ndarray:
+    """Unfold image patches into a ``(batch, channels, kernel_h, kernel_w, out_h, out_w)`` buffer.
 
-    ``inputs`` has shape ``(batch, channels, height, width)``.  Returns an
-    array of shape ``(batch * out_h * out_w, channels * kernel_h * kernel_w)``
-    plus the output spatial size.
+    ``inputs`` has shape ``(batch, channels, height, width)``.  The serial
+    :func:`im2col` and the lane-stacked conv of :mod:`repro.nn.batched` both
+    unfold through here and only differ in how they reshape the buffer into
+    GEMM operands.
     """
     batch, channels, height, width = inputs.shape
     out_h = _output_size(height, kernel_h, stride, padding)
@@ -49,6 +50,20 @@ def im2col(
         for col in range(kernel_w):
             col_end = col + stride * out_w
             columns[:, :, row, col, :, :] = padded[:, :, row:row_end:stride, col:col_end:stride]
+    return columns
+
+
+def im2col(
+    inputs: np.ndarray, kernel_h: int, kernel_w: int, stride: int, padding: int
+) -> Tuple[np.ndarray, Tuple[int, int]]:
+    """Unfold image patches into columns.
+
+    ``inputs`` has shape ``(batch, channels, height, width)``.  Returns an
+    array of shape ``(batch * out_h * out_w, channels * kernel_h * kernel_w)``
+    plus the output spatial size.
+    """
+    columns = unfold_patches(inputs, kernel_h, kernel_w, stride, padding)
+    batch, channels, _, _, out_h, out_w = columns.shape
     columns = columns.transpose(0, 4, 5, 1, 2, 3).reshape(
         batch * out_h * out_w, channels * kernel_h * kernel_w
     )

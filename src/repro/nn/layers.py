@@ -87,29 +87,3 @@ class Flatten(Module):
             raise RuntimeError("backward called before forward")
         return np.asarray(grad_output, dtype=np.float64).reshape(self._cached_shape)
 
-
-class Dropout(Module):
-    """Inverted dropout; a no-op in evaluation mode."""
-
-    def __init__(self, rate: float = 0.5, rng=None) -> None:
-        super().__init__()
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-        self.rate = rate
-        self._rng = as_rng(rng)
-        self._mask: Optional[np.ndarray] = None
-
-    def forward(self, inputs: np.ndarray) -> np.ndarray:
-        inputs = np.asarray(inputs, dtype=np.float64)
-        if not self.training or self.rate == 0.0:
-            self._mask = None
-            return inputs
-        keep = 1.0 - self.rate
-        self._mask = (self._rng.random(inputs.shape) < keep) / keep
-        return inputs * self._mask
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        grad_output = np.asarray(grad_output, dtype=np.float64)
-        if self._mask is None:
-            return grad_output
-        return grad_output * self._mask

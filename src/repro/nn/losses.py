@@ -15,29 +15,6 @@ def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     return exps / exps.sum(axis=axis, keepdims=True)
 
 
-def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable log-softmax."""
-    logits = np.asarray(logits, dtype=np.float64)
-    shifted = logits - logits.max(axis=axis, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-
-
-class MSELoss:
-    """Mean squared error over the batch."""
-
-    def __call__(self, predictions: np.ndarray, targets: np.ndarray) -> Tuple[float, np.ndarray]:
-        predictions = np.asarray(predictions, dtype=np.float64)
-        targets = np.asarray(targets, dtype=np.float64)
-        if predictions.shape != targets.shape:
-            raise ValueError(
-                f"prediction shape {predictions.shape} does not match target shape {targets.shape}"
-            )
-        diff = predictions - targets
-        loss = float(np.mean(diff**2))
-        grad = 2.0 * diff / diff.size
-        return loss, grad
-
-
 class HuberLoss:
     """Huber (smooth L1) loss, used for stable Q-learning targets."""
 
@@ -63,28 +40,3 @@ class HuberLoss:
         grad = np.where(quadratic, diff, self.delta * np.sign(diff)) / diff.size
         return loss, grad
 
-
-class CrossEntropyLoss:
-    """Softmax cross-entropy over integer class labels.
-
-    ``__call__`` takes raw logits of shape ``(batch, classes)`` and integer
-    labels of shape ``(batch,)``; it returns the mean loss and the gradient
-    with respect to the logits.
-    """
-
-    def __call__(self, logits: np.ndarray, labels: np.ndarray) -> Tuple[float, np.ndarray]:
-        logits = np.asarray(logits, dtype=np.float64)
-        labels = np.asarray(labels, dtype=np.int64)
-        if logits.ndim != 2:
-            raise ValueError(f"logits must be 2D (batch, classes), got shape {logits.shape}")
-        if labels.ndim != 1 or labels.shape[0] != logits.shape[0]:
-            raise ValueError("labels must be a 1D array matching the batch size")
-        if labels.size and (labels.min() < 0 or labels.max() >= logits.shape[1]):
-            raise ValueError("label value outside the number of classes")
-        log_probs = log_softmax(logits, axis=1)
-        batch = logits.shape[0]
-        loss = float(-log_probs[np.arange(batch), labels].mean())
-        grad = softmax(logits, axis=1)
-        grad[np.arange(batch), labels] -= 1.0
-        grad /= batch
-        return loss, grad

@@ -18,9 +18,6 @@ class Module:
     parameter gradients along the way.
     """
 
-    def __init__(self) -> None:
-        self.training = True
-
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -43,14 +40,6 @@ class Module:
         for parameter in self.parameters():
             parameter.zero_grad()
 
-    def train(self) -> "Module":
-        self.training = True
-        return self
-
-    def eval(self) -> "Module":
-        self.training = False
-        return self
-
     def state_dict(self) -> Dict[str, np.ndarray]:
         return {name: parameter.value.copy() for name, parameter in self.named_parameters()}
 
@@ -70,7 +59,6 @@ class Sequential(Module):
     """Feed-forward chain of modules with automatic backpropagation."""
 
     def __init__(self, *modules: Module) -> None:
-        super().__init__()
         self.modules: List[Module] = list(modules)
 
     def append(self, module: Module) -> None:
@@ -97,18 +85,6 @@ class Sequential(Module):
     def named_parameters(self, prefix: str = "") -> Iterator[Tuple[str, Parameter]]:
         for index, module in enumerate(self.modules):
             yield from module.named_parameters(prefix=f"{prefix}{index}.")
-
-    def train(self) -> "Sequential":
-        super().train()
-        for module in self.modules:
-            module.train()
-        return self
-
-    def eval(self) -> "Sequential":
-        super().eval()
-        for module in self.modules:
-            module.eval()
-        return self
 
     def __len__(self) -> int:
         return len(self.modules)

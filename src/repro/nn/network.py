@@ -101,32 +101,3 @@ def load_state_dict(module: Module, state: Dict[str, np.ndarray]) -> None:
 def clone_state_dict(state: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
     """Deep copy of a state dict."""
     return {name: np.array(value, copy=True) for name, value in state.items()}
-
-
-def count_parameters(module: Module) -> int:
-    """Total number of scalar parameters in ``module``."""
-    return sum(parameter.size for parameter in module.parameters())
-
-
-def flatten_state_dict(state: Dict[str, np.ndarray]) -> np.ndarray:
-    """Concatenate every parameter into a single 1D vector (fixed name order)."""
-    return np.concatenate([np.asarray(state[name]).reshape(-1) for name in sorted(state)])
-
-
-def unflatten_state_dict(
-    vector: np.ndarray, reference: Dict[str, np.ndarray]
-) -> Dict[str, np.ndarray]:
-    """Inverse of :func:`flatten_state_dict` given a reference of shapes."""
-    vector = np.asarray(vector, dtype=np.float64)
-    result: Dict[str, np.ndarray] = {}
-    cursor = 0
-    for name in sorted(reference):
-        shape = np.asarray(reference[name]).shape
-        size = int(np.prod(shape)) if shape else 1
-        result[name] = vector[cursor : cursor + size].reshape(shape)
-        cursor += size
-    if cursor != vector.size:
-        raise ValueError(
-            f"vector of size {vector.size} does not match reference with {cursor} elements"
-        )
-    return result

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 
@@ -48,11 +46,6 @@ class Parameter:
                 f"{self.name!r} of shape {self.value.shape}"
             )
         np.copyto(self.value, value)
-
-    def clone(self, name: Optional[str] = None) -> "Parameter":
-        cloned = Parameter(self.value.copy(), name=name or self.name)
-        cloned.grad = self.grad.copy()
-        return cloned
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"Parameter(name={self.name!r}, shape={self.value.shape})"

@@ -38,15 +38,6 @@ class BitBreakdown:
         }
 
 
-def weight_range(state: Dict[str, np.ndarray]) -> tuple:
-    """(min, max) over every value in a state dict."""
-    if not state:
-        raise ValueError("state dict is empty")
-    minimum = min(float(np.asarray(v).min()) for v in state.values())
-    maximum = max(float(np.asarray(v).max()) for v in state.values())
-    return minimum, maximum
-
-
 def bit_breakdown(
     state: Dict[str, np.ndarray], datatype: Union[str, DataType] = "int8"
 ) -> BitBreakdown:

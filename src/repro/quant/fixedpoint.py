@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.utils.bitops import signed_dtype_for, unsigned_dtype_for
+from repro.utils.bitops import signed_dtype_for
 
 
 @dataclass(frozen=True)
@@ -85,9 +85,6 @@ class FixedPointFormat:
         """Mean absolute quantization error over ``values``."""
         values = np.asarray(values, dtype=np.float64)
         return float(np.abs(values - self.roundtrip(values)).mean())
-
-    def storage_dtype(self) -> np.dtype:
-        return unsigned_dtype_for(self.total_bits)
 
     def __str__(self) -> str:
         return self.name

@@ -8,7 +8,7 @@ federated layer can treat them uniformly.
 """
 
 from repro.rl.base import Agent, EpisodeStats
-from repro.rl.exploration import ConstantEpsilon, EpsilonSchedule, LinearEpsilonDecay
+from repro.rl.exploration import EpsilonSchedule, LinearEpsilonDecay
 from repro.rl.replay import ReplayBuffer, Transition
 from repro.rl.qlearning import QLearningAgent, QLearningConfig
 from repro.rl.reinforce import ReinforceAgent, ReinforceConfig
@@ -16,7 +16,6 @@ from repro.rl.rollout import (
     evaluate_flight_distance,
     evaluate_success_rate,
     greedy_episode,
-    run_episode,
 )
 from repro.rl.policy import consensus_policy_std, policy_action_distribution
 
@@ -25,14 +24,12 @@ __all__ = [
     "EpisodeStats",
     "EpsilonSchedule",
     "LinearEpsilonDecay",
-    "ConstantEpsilon",
     "ReplayBuffer",
     "Transition",
     "QLearningAgent",
     "QLearningConfig",
     "ReinforceAgent",
     "ReinforceConfig",
-    "run_episode",
     "greedy_episode",
     "evaluate_success_rate",
     "evaluate_flight_distance",

@@ -2,9 +2,8 @@
 
 The paper's on-device procedure has two phases: a *training* phase in which
 the exploration-to-exploitation ratio decreases, and an *inference* phase of
-pure greedy exploitation.  :class:`LinearEpsilonDecay` models the first,
-:class:`ConstantEpsilon` the second (and the small evaluation noise used when
-measuring success rates).
+pure greedy exploitation.  :class:`LinearEpsilonDecay` models the first;
+greedy evaluation (:mod:`repro.rl.rollout`) models the second.
 """
 
 from __future__ import annotations
@@ -19,19 +18,6 @@ class EpsilonSchedule:
 
     def __call__(self, episode: int) -> float:
         return self.value(episode)
-
-
-class ConstantEpsilon(EpsilonSchedule):
-    """A fixed exploration rate."""
-
-    def __init__(self, epsilon: float) -> None:
-        if not 0.0 <= epsilon <= 1.0:
-            raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
-        self.epsilon = epsilon
-
-    def value(self, episode: int) -> float:
-        """The fixed rate, independent of ``episode``."""
-        return self.epsilon
 
 
 class LinearEpsilonDecay(EpsilonSchedule):

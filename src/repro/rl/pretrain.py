@@ -217,19 +217,3 @@ def behaviour_clone(
         accuracy = _train_on_dataset(agent, observations, actions, config, rng)
     return accuracy
 
-
-def pretrain_drone_agent(
-    agent: ReinforceAgent,
-    envs: Sequence[Environment],
-    clone_config: PretrainConfig = PretrainConfig(),
-    reinforce_episodes: int = 0,
-    rng=None,
-) -> float:
-    """Offline pre-training: behaviour cloning plus optional REINFORCE polish."""
-    rng = as_rng(rng)
-    accuracy = behaviour_clone(agent, envs, clone_config, rng=rng)
-    for episode in range(reinforce_episodes):
-        env = envs[episode % len(envs)]
-        agent.begin_episode(episode)
-        agent.run_episode(env, train=True)
-    return accuracy

@@ -28,23 +28,11 @@ from repro.rl.base import Agent, EpisodeStats, outcome_to_stats
 from repro.utils.rng import as_rng
 
 
-def run_episode(agent: Agent, env: Environment, train: bool = True) -> EpisodeStats:
-    """Run one episode (delegates to the agent's own loop)."""
-    return agent.run_episode(env, train=train)
-
-
-def greedy_episode(
-    agent: Agent,
-    env: Environment,
-    max_steps: Optional[int] = None,
-    epsilon: float = 0.0,
-    rng=None,
-) -> EpisodeStats:
+def greedy_episode(agent: Agent, env: Environment, epsilon: float = 0.0, rng=None) -> EpisodeStats:
     """Run one exploitation episode without learning.
 
     ``epsilon`` injects residual exploration noise (probability of a uniform
-    random action per step); ``max_steps`` optionally caps the episode
-    independently of the environment's own limit.
+    random action per step).
     """
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
@@ -65,10 +53,6 @@ def greedy_episode(
         last_info = result.info
         observation = result.observation
         done = result.done
-        if max_steps is not None and steps >= max_steps and not done:
-            last_info = dict(last_info)
-            last_info["outcome"] = "survived"
-            done = True
     return outcome_to_stats(total_reward, steps, last_info)
 
 

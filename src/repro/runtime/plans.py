@@ -9,16 +9,14 @@ convergence loop and the static Fig. 9 table fall back to a single-cell plan
 that runs the whole experiment function — still off the main process when a
 pool is available, just not spread across workers.
 
-This module is the single source of truth for decomposed-artifact parameters:
-:class:`repro.core.framework.FaultCharacterizationFramework` routes those
-identifiers through :func:`build_plan` too, so ``framework.run(experiment_id)``
-and a campaign runner produce identical results by construction.
+This module is the single source of truth for artifact parameters:
+:class:`~repro.runtime.runner.CampaignRunner`, the one driver of paper
+artifacts, builds every plan here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Dict, Optional
 
 from repro.core.config import DroneScale, GridWorldScale
@@ -30,6 +28,7 @@ from repro.core.experiments.drone_training import (
 )
 from repro.core.experiments.gridworld_inference import gridworld_inference_plan
 from repro.core.experiments.gridworld_training import (
+    convergence_after_fault,
     gridworld_training_plan,
     policy_std_plan,
     weight_distribution_plan,
@@ -38,6 +37,7 @@ from repro.core.experiments.mitigation_experiments import (
     inference_mitigation_plan,
     training_mitigation_plan,
 )
+from repro.core.experiments.overhead import overhead_comparison
 from repro.core.pretrained import PolicyCache, default_cache
 from repro.runtime.cells import CampaignPlan, single_cell_plan
 
@@ -65,26 +65,11 @@ class CampaignContext:
         )
 
 
-def run_whole_experiment(
-    experiment_id: str,
-    gridworld_scale: GridWorldScale,
-    drone_scale: DroneScale,
-    cache_dir: str,
-):
-    """Run one registered experiment end to end (the fallback cell body).
-
-    Reconstructs a framework inside the worker process; the policy cache is
-    shared through ``cache_dir``, so pretrained baselines are reused across
-    processes rather than retrained.
-    """
-    from repro.core.framework import FaultCharacterizationFramework
-
-    framework = FaultCharacterizationFramework(
-        gridworld_scale=gridworld_scale,
-        drone_scale=drone_scale,
-        cache=PolicyCache(Path(cache_dir)),
-    )
-    return framework.run(experiment_id)
+def run_whole_experiment(experiment_id: str, gridworld_scale: GridWorldScale):
+    """Run one artifact without a cell decomposition end to end (the fallback cell body)."""
+    if experiment_id == "fig3e":
+        return convergence_after_fault(scale=gridworld_scale)
+    return overhead_comparison()
 
 
 _DECOMPOSED_BUILDERS: Dict[str, Callable[[CampaignContext], CampaignPlan]] = {
@@ -144,12 +129,7 @@ def build_plan(experiment_id: str, context: CampaignContext) -> CampaignPlan:
         return single_cell_plan(
             experiment_id,
             run_whole_experiment,
-            {
-                "experiment_id": experiment_id,
-                "gridworld_scale": context.gridworld_scale,
-                "drone_scale": context.drone_scale,
-                "cache_dir": str(context.cache.cache_dir),
-            },
+            {"experiment_id": experiment_id, "gridworld_scale": context.gridworld_scale},
         )
     raise KeyError(
         f"unknown experiment {experiment_id!r}; available: {plannable_experiment_ids()}"

@@ -2,8 +2,8 @@
 
 This package provides the small, dependency-free building blocks used by every
 other subsystem: deterministic random-number management, bit-level helpers for
-integer tensor representations, statistics for fault-injection campaigns, and
-plain-text rendering of tables and heatmaps.
+integer tensor representations, and plain-text rendering of tables and
+heatmaps.
 """
 
 from repro.utils.rng import RngFactory, as_rng, spawn_rngs
@@ -13,13 +13,6 @@ from repro.utils.bitops import (
     one_bit_fraction,
     random_bit_positions,
     set_bits,
-)
-from repro.utils.stats import (
-    ConfidenceInterval,
-    RunningStat,
-    mean_confidence_interval,
-    proportion_confidence_interval,
-    required_sample_size,
 )
 from repro.utils.tables import Table, render_heatmap, render_table
 from repro.utils.serialization import (
@@ -38,11 +31,6 @@ __all__ = [
     "one_bit_fraction",
     "random_bit_positions",
     "set_bits",
-    "ConfidenceInterval",
-    "RunningStat",
-    "mean_confidence_interval",
-    "proportion_confidence_interval",
-    "required_sample_size",
     "Table",
     "render_heatmap",
     "render_table",

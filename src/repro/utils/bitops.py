@@ -138,13 +138,6 @@ def random_bit_positions(
     return rng.integers(0, bit_width, size=count, dtype=np.int64)
 
 
-def bit_planes(codes: np.ndarray, bit_width: int) -> np.ndarray:
-    """Return an array of shape ``(bit_width, *codes.shape)`` with 0/1 planes."""
-    flat = np.ascontiguousarray(codes).astype(np.uint64)
-    positions = np.arange(bit_width, dtype=np.uint64).reshape((bit_width,) + (1,) * flat.ndim)
-    return ((flat[np.newaxis, ...] >> positions) & np.uint64(1)).astype(np.uint8)
-
-
 def faults_for_ber(total_bits: int, bit_error_rate: float, rng: np.random.Generator) -> int:
     """Number of bit faults for a given BER over ``total_bits`` storage bits.
 
@@ -164,9 +157,3 @@ def faults_for_ber(total_bits: int, bit_error_rate: float, rng: np.random.Genera
         return int(round(expected))
     return int(rng.binomial(total_bits, bit_error_rate))
 
-
-def pack_unsigned(values: np.ndarray, bit_width: int) -> Tuple[np.ndarray, np.dtype]:
-    """Mask ``values`` to ``bit_width`` bits and return them in the smallest dtype."""
-    dtype = unsigned_dtype_for(bit_width)
-    mask = (1 << bit_width) - 1
-    return (np.asarray(values).astype(np.uint64) & np.uint64(mask)).astype(dtype), dtype

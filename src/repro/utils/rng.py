@@ -10,7 +10,7 @@ ever colliding.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -87,33 +87,3 @@ class RngFactory:
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"RngFactory(seed={self._seed!r})"
 
-
-def choice_without_replacement(
-    rng: np.random.Generator, population: int, count: int
-) -> np.ndarray:
-    """Sample ``count`` distinct indices from ``range(population)``.
-
-    Small convenience wrapper used by the fault injector when selecting which
-    elements of a flattened tensor receive bit flips.
-    """
-    if count > population:
-        raise ValueError(
-            f"cannot sample {count} distinct indices from a population of {population}"
-        )
-    return rng.choice(population, size=count, replace=False)
-
-
-def split_evenly(items: Iterable, parts: int) -> List[list]:
-    """Partition ``items`` into ``parts`` contiguous, near-equal chunks."""
-    if parts <= 0:
-        raise ValueError(f"parts must be positive, got {parts}")
-    materialized = list(items)
-    length = len(materialized)
-    base, extra = divmod(length, parts)
-    chunks: List[list] = []
-    start = 0
-    for index in range(parts):
-        size = base + (1 if index < extra else 0)
-        chunks.append(materialized[start : start + size])
-        start += size
-    return chunks

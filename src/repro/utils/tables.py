@@ -22,16 +22,6 @@ class Table:
     rows: List[Sequence[object]] = field(default_factory=list)
     title: Optional[str] = None
 
-    def add_row(self, row: Sequence[object]) -> None:
-        if len(row) != len(self.headers):
-            raise ValueError(
-                f"row has {len(row)} cells but the table has {len(self.headers)} columns"
-            )
-        self.rows.append(list(row))
-
-    def to_dicts(self) -> List[dict]:
-        return [dict(zip(self.headers, row)) for row in self.rows]
-
     def render(self, float_format: str = "{:.2f}") -> str:
         return render_table(self.headers, self.rows, title=self.title, float_format=float_format)
 

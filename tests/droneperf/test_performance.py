@@ -64,6 +64,12 @@ class TestEstimateFlight:
         assert {"platform", "scheme", "flight_distance_m"} <= set(estimate.as_dict())
 
 
+def _tmr_loss(result):
+    """Fraction of the detection scheme's flight distance that TMR gives up."""
+    distance = {name: est.flight_distance_m for name, est in result.estimates.items()}
+    return 1.0 - distance["tmr"] / distance["detection"]
+
+
 class TestProtectionComparison:
     def test_ordering_matches_paper(self):
         # detection barely hurts; DMR hurts more; TMR hurts most.
@@ -76,18 +82,12 @@ class TestProtectionComparison:
         # The paper's asymmetry: TMR is far more damaging on the DJI Spark.
         airsim = evaluate_protection_overheads(AIRSIM_DRONE)
         spark = evaluate_protection_overheads(DJI_SPARK)
-        assert spark.distance_degradation("tmr", "detection") > airsim.distance_degradation(
-            "tmr", "detection"
-        )
+        assert _tmr_loss(spark) > _tmr_loss(airsim)
 
     def test_spark_tmr_degradation_large(self):
         spark = evaluate_protection_overheads(DJI_SPARK)
-        assert spark.distance_degradation("tmr", "detection") > 0.5
+        assert _tmr_loss(spark) > 0.5
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(KeyError):
             evaluate_protection_overheads(AIRSIM_DRONE, schemes=["baseline", "ecc"])
-
-    def test_degradation_reference_validation(self):
-        result = evaluate_protection_overheads(AIRSIM_DRONE)
-        assert result.distance_degradation("baseline", "baseline") == pytest.approx(0.0)

@@ -3,13 +3,9 @@
 import pytest
 
 from repro.faults import BitErrorRate
-from repro.faults.ber import sweep_from_percent
 
 
 class TestBitErrorRate:
-    def test_from_percent(self):
-        assert BitErrorRate.from_percent(2.0).rate == pytest.approx(0.02)
-
     def test_percent_property(self):
         assert BitErrorRate(0.001).percent == pytest.approx(0.1)
 
@@ -35,7 +31,3 @@ class TestBitErrorRate:
 
     def test_str(self):
         assert str(BitErrorRate(0.001)) == "0.001"
-
-    def test_sweep_from_percent(self):
-        sweep = sweep_from_percent([0.1, 1.0])
-        assert [b.rate for b in sweep] == pytest.approx([0.001, 0.01])

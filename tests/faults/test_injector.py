@@ -92,28 +92,3 @@ class TestCorruptStateDict:
         state = {"a": np.zeros(10), "b": np.zeros(10)}
         injector.corrupt_state_dict(state, 0.05)
         assert injector.history[-1].total_bits == 20 * 8
-
-
-class TestSingleBit:
-    def test_exactly_one_element_changes(self):
-        from repro.quant import resolve_datatype
-
-        injector = FaultInjector(datatype="Q(1,2,5)", rng=1)
-        values = np.random.default_rng(1).uniform(-1, 1, size=64)
-        corrupted = injector.corrupt_single_bit(values)
-        # Compare against the clean quantized representation: apart from the
-        # flipped element the output is exactly the quantized storage values.
-        clean_storage = resolve_datatype("Q(1,2,5)").roundtrip(values)
-        changed = (np.abs(corrupted - clean_storage) > 1e-12).sum()
-        assert changed == 1
-
-    def test_history_records_one_bit(self):
-        injector = FaultInjector(rng=0)
-        injector.corrupt_single_bit(np.ones(16))
-        assert injector.history[-1].flipped_bits == 1
-
-    def test_clear_history(self):
-        injector = FaultInjector(rng=0)
-        injector.corrupt_array(np.ones(4), 0.1)
-        injector.clear_history()
-        assert injector.history == []

@@ -46,7 +46,7 @@ class TestLaneIdentity:
             assert a.rng.bit_generator.state == b.rng.bit_generator.state
 
     def test_stuck_at_models_stack_too(self):
-        serial_inj, batch_inj = _paired_injectors(3, model="sa1", seed=9)
+        serial_inj, batch_inj = _paired_injectors(3, model="stuck-at-1", seed=9)
         values = np.random.default_rng(9).normal(size=(3, 6))
         serial = np.stack(
             [inj.corrupt_array(values[i], 0.1) for i, inj in enumerate(serial_inj)]

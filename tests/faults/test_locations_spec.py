@@ -11,18 +11,22 @@ from repro.faults import (
     TransientScope,
     effective_class,
 )
-from repro.faults.spec import baseline_spec
 
 
 class TestFaultLocation:
-    def test_parse_aliases(self):
-        assert FaultLocation.parse("uplink") == FaultLocation.AGENT_TO_SERVER
-        assert FaultLocation.parse("server-to-agent") == FaultLocation.SERVER_TO_AGENT
+    def test_parse_values(self):
+        assert FaultLocation.parse("agent_to_server") == FaultLocation.AGENT_TO_SERVER
+        assert FaultLocation.parse("server_to_agent") == FaultLocation.SERVER_TO_AGENT
         assert FaultLocation.parse(FaultLocation.AGENT) == FaultLocation.AGENT
 
     def test_parse_unknown(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="accepted: .*'agent_to_server'"):
             FaultLocation.parse("moon")
+
+    @pytest.mark.parametrize("alias", ["uplink", "downlink", "server-to-agent", "AGENT"])
+    def test_aliases_rejected(self, alias):
+        with pytest.raises(KeyError):
+            FaultLocation.parse(alias)
 
     def test_effective_class_grouping(self):
         assert effective_class(FaultLocation.AGENT) == "agent"
@@ -32,14 +36,19 @@ class TestFaultLocation:
 
 
 class TestFaultTarget:
-    def test_parse_aliases(self):
-        assert FaultTarget.parse("feature_maps") == FaultTarget.ACTIVATIONS
-        assert FaultTarget.parse("weight") == FaultTarget.WEIGHTS
-        assert FaultTarget.parse("communication") == FaultTarget.COMMUNICATED_PARAMETERS
+    def test_parse_values(self):
+        assert FaultTarget.parse("activations") == FaultTarget.ACTIVATIONS
+        assert FaultTarget.parse("weights") == FaultTarget.WEIGHTS
+        assert FaultTarget.parse("communicated_parameters") == FaultTarget.COMMUNICATED_PARAMETERS
 
     def test_parse_unknown(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="accepted: .*'activations'"):
             FaultTarget.parse("gradients")
+
+    @pytest.mark.parametrize("alias", ["feature_maps", "weight", "communication"])
+    def test_aliases_rejected(self, alias):
+        with pytest.raises(KeyError):
+            FaultTarget.parse(alias)
 
 
 class TestFaultSpec:
@@ -61,20 +70,8 @@ class TestFaultSpec:
         assert spec.is_enabled
 
     def test_analysis_class(self):
-        assert FaultSpec(location="uplink").analysis_class == "agent"
-        assert FaultSpec(location="downlink").analysis_class == "server"
-
-    def test_with_ber_copies(self):
-        spec = FaultSpec(location="agent", injection_episode=10)
-        updated = spec.with_ber(0.05)
-        assert updated.bit_error_rate.rate == 0.05
-        assert updated.injection_episode == 10
-        assert spec.bit_error_rate.rate == 0.0
-
-    def test_with_episode_copies(self):
-        spec = FaultSpec(bit_error_rate=0.01)
-        assert spec.with_episode(7).injection_episode == 7
-        assert spec.with_episode(None).injection_episode is None
+        assert FaultSpec(location="agent_to_server").analysis_class == "agent"
+        assert FaultSpec(location="server_to_agent").analysis_class == "server"
 
     def test_negative_episode_rejected(self):
         with pytest.raises(ValueError):
@@ -83,6 +80,3 @@ class TestFaultSpec:
     def test_describe_mentions_location_and_rate(self):
         text = FaultSpec(location="server", bit_error_rate=0.01, injection_episode=3).describe()
         assert "server" in text and "0.01" in text and "episode 3" in text
-
-    def test_baseline_spec_disabled(self):
-        assert not baseline_spec().is_enabled

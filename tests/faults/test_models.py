@@ -40,10 +40,8 @@ class TestStuckAt:
 class TestResolveFaultModel:
     @pytest.mark.parametrize("name,expected", [
         ("transient", TransientBitFlip),
-        ("bitflip", TransientBitFlip),
         ("stuck-at-0", StuckAt0),
-        ("sa1", StuckAt1),
-        ("STUCK_AT_1", StuckAt1),
+        ("stuck-at-1", StuckAt1),
     ])
     def test_known_names(self, name, expected):
         assert isinstance(resolve_fault_model(name), expected)
@@ -53,8 +51,13 @@ class TestResolveFaultModel:
         assert resolve_fault_model(model) is model
 
     def test_unknown_name(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match=r"known models: \['stuck-at-0', 'stuck-at-1', 'transient'\]"):
             resolve_fault_model("gamma-ray")
+
+    @pytest.mark.parametrize("alias", ["bitflip", "sa1", "STUCK_AT_1"])
+    def test_aliases_rejected(self, alias):
+        with pytest.raises(KeyError):
+            resolve_fault_model(alias)
 
     def test_equality_by_type(self):
         assert TransientBitFlip() == TransientBitFlip()

@@ -37,14 +37,6 @@ class RecordingCallback(TrainingCallback):
     def on_agent_episode_end(self, system, episode, agent_index, stats):
         self.events.append(("agent_end", episode, agent_index))
 
-    def transform_upload(self, system, episode, agent_index, state):
-        self.events.append(("upload", episode, agent_index))
-        return state
-
-    def transform_broadcast(self, system, episode, agent_index, state):
-        self.events.append(("broadcast", episode, agent_index))
-        return state
-
     def on_round_end(self, system, episode, communicated):
         self.events.append(("round_end", episode, communicated))
 
@@ -71,8 +63,13 @@ class TestFRLSystem:
         system.train(2, callbacks=[callback])
         assert callback.events[0] == "start"
         assert callback.events[-1] == "end"
-        assert ("upload", 0, 0) in callback.events
-        assert ("broadcast", 0, 1) in callback.events
+        assert callback.events[1:6] == [
+            ("episode_start", 0),
+            ("agent_end", 0, 0),
+            ("agent_end", 0, 1),
+            ("round_end", 0, True),
+            ("episode_start", 1),
+        ]
 
     def test_agents_share_policy_after_round(self):
         system = tiny_system()
@@ -99,11 +96,6 @@ class TestFRLSystem:
         for value in system.agents[0].upload_state().values():
             assert np.all(value == 0)
 
-    def test_corrupt_all_agents_validates_length(self):
-        system = tiny_system()
-        with pytest.raises(ValueError):
-            system.corrupt_all_agents([system.agents[0].upload_state()])
-
     def test_requires_agents(self):
         with pytest.raises(ValueError):
             FRLSystem([])
@@ -122,16 +114,6 @@ class TestFRLSystem:
         system = tiny_system(interval=2)
         system.train(2, start_episode=1)  # episodes 1 and 2; only episode 1 communicates
         assert system.log.communication_episodes == [1]
-
-    def test_server_fault_via_transform_server_state(self):
-        class ServerZeroer(TrainingCallback):
-            def transform_server_state(self, system, episode, state):
-                return {name: np.zeros_like(value) for name, value in state.items()}
-
-        system = tiny_system()
-        system.train(1, callbacks=[ServerZeroer()])
-        for value in system.agents[0].upload_state().values():
-            assert np.all(value == 0)
 
 
 class TestSingleAgentSystem:

@@ -9,12 +9,11 @@ together; this pin can.
 Rewrite the pin after a deliberate behaviour change, from the repository
 root, and review which artifacts it reports as moved:
 
-    PYTHONPATH=src python tests/golden/golden.py [--cache-dir DIR]
+    PYTHONPATH=src python tests/golden/golden.py
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import hashlib
 import io
@@ -76,17 +75,10 @@ def moved_artifacts(old: Dict[str, str], new: Dict[str, str]) -> Dict[str, str]:
     return changes
 
 
-def main(argv=None) -> int:
-    """Recompute the digests, rewrite ``digests.json`` and report what moved."""
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument(
-        "--cache-dir", type=Path, default=None,
-        help="policy cache to reuse (default: a fresh temporary directory)",
-    )
-    args = parser.parse_args(argv)
+def main() -> int:
+    """Recompute the digests from a cold policy cache, rewrite the pin, report what moved."""
     with tempfile.TemporaryDirectory() as scratch:
-        cache_dir = args.cache_dir or Path(scratch) / "cache"
-        digests = compute_digests(Path(scratch) / "out", cache_dir)
+        digests = compute_digests(Path(scratch) / "out", Path(scratch) / "cache")
     old = load_pin()["artifacts"] if PIN_PATH.exists() else {}
     pin = {
         **toolchain(),

@@ -101,7 +101,8 @@ class TestServerCheckpointCallback:
         from repro.mitigation.reward_monitor import DetectionEvent
 
         zeros = {name: np.zeros_like(value) for name, value in checkpoint.items()}
-        system.corrupt_all_agents([zeros, dict(zeros)])
+        for agent_index in range(system.agent_count):
+            system.corrupt_agent(agent_index, dict(zeros))
         protection._recover(system, DetectionEvent(episode=5, kind="server", agent_indices=(0, 1)))
         for agent in system.agents:
             state = agent.upload_state()

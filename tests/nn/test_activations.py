@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import ReLU, Sigmoid, Softmax, Tanh
+from repro.nn import ReLU, Softmax
 
 
 class TestReLU:
@@ -20,26 +20,6 @@ class TestReLU:
     def test_backward_before_forward(self):
         with pytest.raises(RuntimeError):
             ReLU().backward(np.zeros(2))
-
-
-class TestTanhSigmoid:
-    def test_tanh_range(self):
-        out = Tanh().forward(np.linspace(-5, 5, 11))
-        assert np.all(np.abs(out) < 1.0)
-
-    def test_tanh_gradient(self):
-        tanh = Tanh()
-        tanh.forward(np.array([0.0]))
-        np.testing.assert_allclose(tanh.backward(np.array([1.0])), [1.0])
-
-    def test_sigmoid_extremes_stable(self):
-        out = Sigmoid().forward(np.array([-1000.0, 0.0, 1000.0]))
-        np.testing.assert_allclose(out, [0.0, 0.5, 1.0], atol=1e-9)
-
-    def test_sigmoid_gradient_peak(self):
-        sigmoid = Sigmoid()
-        sigmoid.forward(np.array([0.0]))
-        np.testing.assert_allclose(sigmoid.backward(np.array([1.0])), [0.25])
 
 
 class TestSoftmax:

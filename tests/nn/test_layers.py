@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import Dropout, Flatten, Linear, Parameter, ReLU, Sequential
+from repro.nn import Flatten, Linear, Parameter, ReLU, Sequential
 
 
 class TestParameter:
@@ -31,13 +31,6 @@ class TestParameter:
     def test_copy_shape_mismatch(self):
         with pytest.raises(ValueError):
             Parameter(np.zeros(2)).copy_(np.zeros(3))
-
-    def test_clone_is_independent(self):
-        param = Parameter(np.zeros(2), name="w")
-        clone = param.clone()
-        clone.value[0] = 5.0
-        assert param.value[0] == 0.0
-        assert clone.name == "w"
 
 
 class TestLinear:
@@ -81,7 +74,7 @@ class TestLinear:
             Linear(0, 2)
 
 
-class TestFlattenDropout:
+class TestFlatten:
     def test_flatten_roundtrip(self):
         flatten = Flatten()
         x = np.arange(24, dtype=float).reshape(2, 3, 4)
@@ -89,22 +82,6 @@ class TestFlattenDropout:
         assert out.shape == (2, 12)
         grad = flatten.backward(out)
         assert grad.shape == (2, 3, 4)
-
-    def test_dropout_eval_is_identity(self):
-        dropout = Dropout(0.5, rng=0).eval()
-        x = np.ones((3, 3))
-        np.testing.assert_array_equal(dropout.forward(x), x)
-
-    def test_dropout_train_masks(self):
-        dropout = Dropout(0.5, rng=0)
-        out = dropout.forward(np.ones((100, 10)))
-        assert (out == 0).any()
-        # Inverted dropout keeps the expectation roughly constant.
-        assert out.mean() == pytest.approx(1.0, abs=0.15)
-
-    def test_dropout_invalid_rate(self):
-        with pytest.raises(ValueError):
-            Dropout(1.0)
 
 
 class TestSequential:
@@ -137,13 +114,6 @@ class TestSequential:
         net.backward(np.ones((1, 2)))
         net.zero_grad()
         assert np.all(net[0].weight.grad == 0)
-
-    def test_train_eval_propagate(self):
-        net = Sequential(Dropout(0.3), Linear(2, 2, rng=0))
-        net.eval()
-        assert net[0].training is False
-        net.train()
-        assert net[0].training is True
 
     def test_len_iter_getitem(self):
         net = Sequential(ReLU(), ReLU())

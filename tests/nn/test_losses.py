@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import CrossEntropyLoss, HuberLoss, MSELoss, log_softmax, softmax
+from repro.nn import HuberLoss, softmax
 
 
 class TestSoftmaxHelpers:
@@ -11,46 +11,9 @@ class TestSoftmaxHelpers:
         probs = softmax(np.random.default_rng(0).normal(size=(4, 6)))
         np.testing.assert_allclose(probs.sum(axis=1), np.ones(4))
 
-    def test_log_softmax_matches_log_of_softmax(self):
-        logits = np.random.default_rng(1).normal(size=(3, 5))
-        np.testing.assert_allclose(log_softmax(logits), np.log(softmax(logits)), atol=1e-12)
-
     def test_softmax_stable_for_large_logits(self):
         probs = softmax(np.array([[1e4, 0.0]]))
         assert np.isfinite(probs).all()
-
-
-class TestMSELoss:
-    def test_zero_when_equal(self):
-        loss, grad = MSELoss()(np.ones((2, 3)), np.ones((2, 3)))
-        assert loss == 0.0
-        np.testing.assert_array_equal(grad, np.zeros((2, 3)))
-
-    def test_known_value(self):
-        loss, _ = MSELoss()(np.array([[2.0]]), np.array([[0.0]]))
-        assert loss == pytest.approx(4.0)
-
-    def test_gradient_direction(self):
-        _, grad = MSELoss()(np.array([[2.0]]), np.array([[0.0]]))
-        assert grad[0, 0] > 0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            MSELoss()(np.zeros((1, 2)), np.zeros((2, 1)))
-
-    def test_gradient_numerically(self):
-        rng = np.random.default_rng(0)
-        preds = rng.normal(size=(3, 4))
-        targets = rng.normal(size=(3, 4))
-        loss_fn = MSELoss()
-        _, grad = loss_fn(preds, targets)
-        eps = 1e-6
-        bumped = preds.copy()
-        bumped[1, 2] += eps
-        plus, _ = loss_fn(bumped, targets)
-        bumped[1, 2] -= 2 * eps
-        minus, _ = loss_fn(bumped, targets)
-        assert grad[1, 2] == pytest.approx((plus - minus) / (2 * eps), rel=1e-5)
 
 
 class TestHuberLoss:
@@ -70,27 +33,3 @@ class TestHuberLoss:
         with pytest.raises(ValueError):
             HuberLoss(delta=0.0)
 
-
-class TestCrossEntropyLoss:
-    def test_perfect_prediction_low_loss(self):
-        logits = np.array([[10.0, -10.0], [-10.0, 10.0]])
-        loss, _ = CrossEntropyLoss()(logits, np.array([0, 1]))
-        assert loss < 1e-4
-
-    def test_uniform_prediction_log_classes(self):
-        loss, _ = CrossEntropyLoss()(np.zeros((1, 4)), np.array([2]))
-        assert loss == pytest.approx(np.log(4))
-
-    def test_gradient_sums_to_zero_per_row(self):
-        rng = np.random.default_rng(0)
-        logits = rng.normal(size=(5, 3))
-        _, grad = CrossEntropyLoss()(logits, np.array([0, 1, 2, 0, 1]))
-        np.testing.assert_allclose(grad.sum(axis=1), np.zeros(5), atol=1e-12)
-
-    def test_label_out_of_range(self):
-        with pytest.raises(ValueError):
-            CrossEntropyLoss()(np.zeros((1, 2)), np.array([5]))
-
-    def test_requires_2d_logits(self):
-        with pytest.raises(ValueError):
-            CrossEntropyLoss()(np.zeros(3), np.array([0]))

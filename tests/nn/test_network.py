@@ -5,13 +5,10 @@ import pytest
 
 from repro.nn import (
     Adam,
-    MSELoss,
     build_drone_policy_network,
     build_gridworld_q_network,
     clone_state_dict,
-    count_parameters,
 )
-from repro.nn.network import flatten_state_dict, unflatten_state_dict
 
 
 class TestGridworldNetwork:
@@ -32,18 +29,18 @@ class TestGridworldNetwork:
 
     def test_custom_hidden_sizes(self):
         net = build_gridworld_q_network(hidden_sizes=(8,), rng=0)
-        assert count_parameters(net) == 4 * 8 + 8 + 8 * 4 + 4
+        assert sum(p.size for p in net.parameters()) == 4 * 8 + 8 + 8 * 4 + 4
 
     def test_trains_on_regression(self):
         net = build_gridworld_q_network(observation_size=4, hidden_sizes=(16,), rng=0)
         rng = np.random.default_rng(0)
         x = rng.normal(size=(32, 4))
         y = np.tile(np.sin(x.sum(axis=1, keepdims=True)), (1, 4))
-        loss_fn, optimizer = MSELoss(), Adam(net.parameters(), 0.01)
+        optimizer = Adam(net.parameters(), 0.01)
         first_loss = None
         for _ in range(200):
             out = net.forward(x)
-            loss, grad = loss_fn(out, y)
+            loss, grad = np.mean((out - y) ** 2), 2.0 * (out - y) / out.size
             if first_loss is None:
                 first_loss = loss
             net.zero_grad()
@@ -78,20 +75,3 @@ class TestStateDictHelpers:
         cloned = clone_state_dict(state)
         cloned[next(iter(cloned))][0] = 99.0
         assert not np.array_equal(cloned[next(iter(state))], state[next(iter(state))])
-
-    def test_flatten_unflatten_roundtrip(self):
-        net = build_gridworld_q_network(hidden_sizes=(8, 8), rng=0)
-        state = net.state_dict()
-        vector = flatten_state_dict(state)
-        restored = unflatten_state_dict(vector, state)
-        for name in state:
-            np.testing.assert_array_equal(restored[name], state[name])
-
-    def test_unflatten_size_mismatch(self):
-        net = build_gridworld_q_network(hidden_sizes=(8,), rng=0)
-        state = net.state_dict()
-        with pytest.raises(ValueError):
-            unflatten_state_dict(np.zeros(3), state)
-
-    def test_count_parameters_positive(self):
-        assert count_parameters(build_gridworld_q_network(rng=0)) > 0

@@ -8,7 +8,6 @@ from repro.faults import FaultInjector
 from repro.federated import AlphaSchedule, smoothing_average
 from repro.federated.aggregation import average_states
 from repro.mitigation import RangeAnomalyDetector
-from repro.utils.stats import RunningStat, mean_confidence_interval
 
 STATE_VALUES = hnp.arrays(
     dtype=np.float64,
@@ -82,15 +81,3 @@ def test_anomaly_repair_never_worsens_range(values, ber, seed):
     assert second_count == 0
     np.testing.assert_array_equal(repaired_again["w"], repaired["w"])
 
-
-@settings(max_examples=40, deadline=None)
-@given(samples=st.lists(st.floats(-100, 100, allow_nan=False, allow_infinity=False),
-                        min_size=2, max_size=200))
-def test_running_stat_matches_batch_statistics(samples):
-    stat = RunningStat()
-    stat.extend(samples)
-    array = np.asarray(samples)
-    assert stat.mean == np.float64(array.mean()).item() or abs(stat.mean - array.mean()) < 1e-6
-    assert abs(stat.std - array.std(ddof=1)) < 1e-6
-    ci = mean_confidence_interval(samples)
-    assert ci.lower <= ci.mean <= ci.upper

@@ -3,17 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.quant import bit_breakdown, weight_range
-
-
-class TestWeightRange:
-    def test_range_over_layers(self):
-        state = {"a": np.array([-0.5, 0.2]), "b": np.array([[1.5, -0.1]])}
-        assert weight_range(state) == (-0.5, 1.5)
-
-    def test_empty_state_rejected(self):
-        with pytest.raises(ValueError):
-            weight_range({})
+from repro.quant import bit_breakdown
 
 
 class TestBitBreakdown:

@@ -68,6 +68,3 @@ class TestEncodeDecode:
             flipped_small = fmt_small.decode(code_small ^ (1 << (fmt_small.total_bits - 2)))
             flipped_large = fmt_large.decode(code_large ^ (1 << (fmt_large.total_bits - 2)))
             assert abs(flipped_large[0] - 0.5) > abs(flipped_small[0] - 0.5)
-
-    def test_storage_dtype(self):
-        assert Q1_4_11.storage_dtype() == np.dtype(np.uint16)

@@ -3,18 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.rl import ConstantEpsilon, LinearEpsilonDecay, ReplayBuffer, Transition
+from repro.rl import LinearEpsilonDecay, ReplayBuffer, Transition
 
 
 class TestSchedules:
-    def test_constant(self):
-        schedule = ConstantEpsilon(0.3)
-        assert schedule(0) == schedule(1000) == 0.3
-
-    def test_constant_invalid(self):
-        with pytest.raises(ValueError):
-            ConstantEpsilon(1.5)
-
     def test_linear_decay_endpoints(self):
         schedule = LinearEpsilonDecay(start=1.0, end=0.1, decay_episodes=100)
         assert schedule(0) == pytest.approx(1.0)

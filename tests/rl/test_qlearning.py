@@ -5,7 +5,7 @@ import pytest
 
 from repro.envs import GridWorldEnv
 from repro.envs.gridworld import generate_layout
-from repro.rl import ConstantEpsilon, QLearningAgent, QLearningConfig
+from repro.rl import LinearEpsilonDecay, QLearningAgent, QLearningConfig
 from repro.rl.rollout import evaluate_success_rate
 
 
@@ -40,7 +40,8 @@ class TestActionSelection:
         assert early > late
 
     def test_full_exploration_random(self):
-        agent = QLearningAgent(QLearningConfig(hidden_sizes=(8,)), epsilon_schedule=ConstantEpsilon(1.0), rng=0)
+        always_explore = LinearEpsilonDecay(start=1.0, end=1.0, decay_episodes=1)
+        agent = QLearningAgent(QLearningConfig(hidden_sizes=(8,)), epsilon_schedule=always_explore, rng=0)
         agent.begin_episode(0)
         actions = {agent.select_action(np.zeros(6), explore=True) for _ in range(100)}
         assert len(actions) == 4

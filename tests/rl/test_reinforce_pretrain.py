@@ -10,7 +10,6 @@ from repro.rl.pretrain import (
     PretrainConfig,
     behaviour_clone,
     collect_expert_dataset,
-    pretrain_drone_agent,
 )
 from repro.rl.reinforce import discounted_returns
 
@@ -131,12 +130,12 @@ class TestBehaviourCloning:
         accuracy = behaviour_clone(agent, envs, config, rng=0)
         assert accuracy > 1.0 / 25.0  # clearly better than chance
 
-    def test_pretrain_with_dagger_and_reinforce(self):
+    def test_behaviour_clone_with_dagger(self):
         envs = tiny_drone_envs()
         agent = tiny_agent()
         config = PretrainConfig(collection_episodes=1, max_samples=100, epochs=2,
                                 batch_size=32, dagger_iterations=1, dagger_episodes=1)
-        accuracy = pretrain_drone_agent(agent, envs, config, reinforce_episodes=1, rng=0)
+        accuracy = behaviour_clone(agent, envs, config, rng=0)
         assert 0.0 <= accuracy <= 1.0
 
     def test_invalid_pretrain_config(self):

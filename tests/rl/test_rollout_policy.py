@@ -25,10 +25,6 @@ class TestRollout:
         assert stats.steps > 0
         assert stats.success in (True, False)
 
-    def test_greedy_episode_max_steps_cap(self):
-        stats = greedy_episode(make_agent(), make_env(), max_steps=3)
-        assert stats.steps <= make_env().max_steps
-
     def test_epsilon_validation(self):
         with pytest.raises(ValueError):
             greedy_episode(make_agent(), make_env(), epsilon=1.5)

@@ -11,7 +11,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.config import GridWorldScale
+from repro.core.config import DroneScale, GridWorldScale
 from repro.core.experiments.gridworld_inference import gridworld_inference_plan
 from repro.core.experiments.gridworld_training import gridworld_training_plan
 from repro.runtime.cells import CampaignPlan, CellTask, derive_cell_seeds
@@ -51,28 +51,52 @@ class TestSerialParallelDeterminism:
         )
         assert _payload(direct) == _payload(plan.run_serial())
 
-    def test_framework_workers_kwarg(self, tiny_scale, policy_cache):
-        from repro.core import FaultCharacterizationFramework
 
-        framework = FaultCharacterizationFramework(
-            gridworld_scale=tiny_scale, cache=policy_cache
+class TestDriver:
+    """CampaignRunner as the one library driver of paper artifacts."""
+
+    @pytest.fixture()
+    def runner(self, policy_cache):
+        return CampaignRunner(
+            gridworld_scale=GridWorldScale.tiny(), drone_scale=DroneScale.tiny(), cache=policy_cache
         )
-        serial = framework.run("fig3a")
-        parallel = framework.run("fig3a", workers=2)
-        assert "fig3a" in framework.results
-        assert _payload(serial) == _payload(parallel)
+
+    def test_experiment_ids_cover_paper_artifacts(self, runner):
+        ids = runner.experiment_ids
+        for required in ("fig3a", "fig3b", "fig3c", "fig3d", "fig3e", "table1", "fig4",
+                         "fig5a", "fig5b", "fig5c", "fig6a", "fig6b", "fig7a", "fig7b",
+                         "fig8a", "fig8b", "fig9", "datatypes"):
+            assert required in ids
+
+    def test_unknown_experiment(self, runner):
+        with pytest.raises(KeyError):
+            runner.run("fig99")
+
+    def test_run_fig9_and_report(self, runner):
+        result = runner.run("fig9")
+        assert "fig9" in runner.results
+        report = runner.report()
+        assert "fig9" in report and "DJI Spark" in report
+        assert hasattr(result, "rows")
+
+    def test_run_fig3d_uses_cache(self, runner):
+        result = runner.run("fig3d")
+        labels = [row[0] for row in result.rows]
+        assert "0 bits (%)" in labels
+
+    def test_run_all_subset(self, runner):
+        results = runner.run_all(["fig9", "fig3d"])
+        assert set(results) == {"fig9", "fig3d"}
 
 
 class TestPlans:
     def test_every_registered_artifact_is_plannable(self, tiny_scale, policy_cache):
-        from repro.core import FaultCharacterizationFramework
-
-        framework = FaultCharacterizationFramework(
-            gridworld_scale=tiny_scale, cache=policy_cache
+        runner = CampaignRunner(
+            gridworld_scale=tiny_scale, drone_scale=DroneScale.tiny(), cache=policy_cache
         )
-        missing = set(framework.experiment_ids) - set(plannable_experiment_ids())
-        # fig7a/fig8a-style ids must all resolve to a plan.
-        assert not missing
+        # Every id the driver offers (fig7a/fig8a-style ones too) builds a plan.
+        for experiment_id in runner.experiment_ids:
+            assert runner.plan(experiment_id).cell_count >= 1
 
     def test_heatmap_plan_shape(self, tiny_scale):
         plan = gridworld_training_plan(

@@ -4,8 +4,8 @@ PR 1 decomposed the heatmap and sweep artifacts; this suite covers the
 remaining grid-shaped artifacts — fig3d (per parameter tensor), fig6a (per
 drone count × fault location × BER), fig6b (per interval multiplier ×
 scenario) and the data-type study (per BER × datatype × repeat) — and pins
-the framework routing: ``framework.run(id)`` and a parallel campaign runner
-must produce byte-identical payloads.
+the driver routing: ``CampaignRunner.run(id)`` and the serial plan must
+produce byte-identical payloads.
 """
 
 import json
@@ -84,14 +84,12 @@ class TestFrameworkParity:
         )
         assert _payload(build_plan("fig3d", context).run_serial()) == _payload(legacy)
 
-    def test_framework_routes_through_plans(self, context):
-        from repro.core import FaultCharacterizationFramework
-
-        framework = FaultCharacterizationFramework(
+    def test_runner_routes_through_plans(self, context):
+        runner = CampaignRunner(
             gridworld_scale=context.gridworld_scale,
             drone_scale=context.drone_scale,
             cache=context.cache,
         )
-        assert _payload(framework.run("fig3d")) == _payload(
+        assert _payload(runner.run("fig3d")) == _payload(
             build_plan("fig3d", context).run_serial()
         )

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from repro.utils.bitops import (
-    bit_planes,
     count_ones,
     faults_for_ber,
     flip_bits,
     one_bit_fraction,
-    pack_unsigned,
     random_bit_positions,
     set_bits,
     signed_dtype_for,
@@ -108,13 +106,6 @@ class TestCounting:
     def test_one_bit_fraction_empty(self):
         assert one_bit_fraction(np.zeros(0, dtype=np.int8), 8) == 0.0
 
-    def test_bit_planes_roundtrip(self):
-        codes = np.array([5, 2], dtype=np.int8)
-        planes = bit_planes(codes, 8)
-        assert planes.shape == (8, 2)
-        reconstructed = sum(planes[b] * (1 << b) for b in range(8))
-        assert reconstructed.tolist() == [5, 2]
-
 
 class TestFaultCounts:
     def test_zero_rate(self, rng):
@@ -135,8 +126,3 @@ class TestFaultCounts:
     def test_random_bit_positions_in_range(self, rng):
         positions = random_bit_positions(rng, 100, 16)
         assert positions.min() >= 0 and positions.max() < 16
-
-    def test_pack_unsigned_masks(self):
-        packed, dtype = pack_unsigned(np.array([0x1FF]), 8)
-        assert packed[0] == 0xFF
-        assert dtype == np.dtype(np.uint8)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import RngFactory, as_rng, choice_without_replacement, spawn_rngs, split_evenly
+from repro.utils.rng import RngFactory, as_rng, spawn_rngs
 
 
 class TestAsRng:
@@ -79,27 +79,3 @@ class TestRngFactory:
 
     def test_seed_property(self):
         assert RngFactory(9).seed == 9
-
-
-class TestHelpers:
-    def test_choice_without_replacement_unique(self, rng):
-        indices = choice_without_replacement(rng, 50, 20)
-        assert len(set(indices.tolist())) == 20
-
-    def test_choice_too_many_rejected(self, rng):
-        with pytest.raises(ValueError):
-            choice_without_replacement(rng, 5, 10)
-
-    def test_split_evenly_covers_all(self):
-        chunks = split_evenly(range(10), 3)
-        assert [len(c) for c in chunks] == [4, 3, 3]
-        assert sum(chunks, []) == list(range(10))
-
-    def test_split_evenly_more_parts_than_items(self):
-        chunks = split_evenly([1, 2], 4)
-        assert sum(chunks, []) == [1, 2]
-        assert len(chunks) == 4
-
-    def test_split_evenly_rejects_zero_parts(self):
-        with pytest.raises(ValueError):
-            split_evenly([1], 0)

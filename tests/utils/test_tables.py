@@ -24,20 +24,6 @@ class TestRenderTable:
 
 
 class TestTable:
-    def test_add_row_and_render(self):
-        table = Table(headers=["id", "metric"])
-        table.add_row([1, 0.5])
-        assert "0.50" in table.render()
-
-    def test_add_row_validates_length(self):
-        table = Table(headers=["only"])
-        with pytest.raises(ValueError):
-            table.add_row([1, 2])
-
-    def test_to_dicts(self):
-        table = Table(headers=["k", "v"], rows=[["a", 1]])
-        assert table.to_dicts() == [{"k": "a", "v": 1}]
-
     def test_str_matches_render(self):
         table = Table(headers=["k"], rows=[["x"]])
         assert str(table) == table.render()
