@@ -10,22 +10,27 @@ network's own ``forward`` on its lane's observation.
 The identity argument, layer by layer (each lane's row goes through exactly
 the serial op sequence):
 
-* ``Conv2d`` — ``im2col`` unfolds patches independently per batch item (pure
-  strided slicing), so the stacked column block of lane *i* equals the serial
-  columns.  The per-lane GEMM ``columns @ W.T`` then runs as a 2-D matrix
-  product on views of the stacked operands — the *same* BLAS call on the
-  *same* operand values and strides as the serial layer.  (A single batched
-  ``np.matmul`` is NOT used: numpy's 3-D matmul may copy operands and pick a
-  different GEMM kernel than the 2-D transposed-operand path, changing the
-  floating-point reduction order for some shapes.)
+* ``Conv2d`` — :func:`~repro.nn.conv.unfold_patches` copies a strided window
+  view of the whole lane stack into one C-contiguous buffer, so lane *i*'s
+  block holds the serial batch-of-one buffer's bytes with its strides.  The
+  per-lane GEMM ``columns @ W.T`` then runs as a 2-D matrix product on views
+  of that block — the *same* BLAS call on the *same* operand values and
+  strides as the serial layer.  (A single batched ``np.matmul`` is NOT used:
+  numpy's 3-D matmul may copy operands and pick a different GEMM kernel than
+  the 2-D transposed-operand path, changing the floating-point reduction
+  order for some shapes.)
 * ``Linear`` — same per-lane 2-D GEMM on ``(1, F) @ (F, H)`` row views.
   Lanes are never folded into the GEMM ``M`` dimension, because that changes
   the BLAS kernel's blocking (and therefore the reduction order).
-* ``ReLU`` / ``Softmax`` / ``MaxPool2d`` — elementwise or row-wise along the
-  last contiguous axis, where numpy's reductions are shape-independent.
+* ``ReLU`` / ``Softmax`` — elementwise or row-wise along the last contiguous
+  axis, where numpy's reductions are shape-independent.
+* ``MaxPool2d`` — the serial layer's :func:`~repro.nn.conv._window_max` over
+  the stacked im2col rows.  A row whose maximum has one bit pattern reduces
+  to it under any formulation; a stack holding a NaN or both signed zeros
+  falls back to ``max(axis=1)``, which reduces each C-contiguous row alone.
 
 The speedup therefore comes from amortizing the python-level layer dispatch,
-``im2col`` slicing, pooling and activation work across lanes — not from wider
+the patch unfold, pooling and activation work across lanes — not from wider
 GEMMs, which is exactly what makes byte-identity achievable.
 
 ``refresh()`` restacks the weights after any in-place mutation of the
@@ -40,7 +45,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.nn.activations import ReLU, Softmax
-from repro.nn.conv import Conv2d, MaxPool2d, _output_size, im2col, unfold_patches
+from repro.nn.conv import Conv2d, MaxPool2d, _output_size, _window_max, im2col, unfold_patches
 from repro.nn.layers import Flatten, Linear
 from repro.nn.module import Module, Sequential
 
@@ -200,10 +205,9 @@ class StackedPolicy:
     def _conv_forward(
         module: Conv2d, x: np.ndarray, weight: np.ndarray, bias: Optional[np.ndarray]
     ) -> np.ndarray:
-        """Per-lane conv: stacked im2col + batched matmul, serial op order."""
+        """Per-lane conv: one stacked unfold, then each lane's serial GEMM."""
         kernel = module.kernel_size
-        # One unfold for all lanes (the expensive python slicing loop runs
-        # once, not once per lane).
+        # One strided copy unfolds every lane at once.
         columns = unfold_patches(x, kernel, kernel, module.stride, module.padding)
         lanes, channels, _, _, out_h, out_w = columns.shape
         features = channels * kernel * kernel
@@ -236,7 +240,8 @@ class StackedPolicy:
             module.stride,
             0,
         )
-        return columns.max(axis=1).reshape(lanes, channels, out_h, out_w)
+        maxima, _ = _window_max(columns)
+        return maxima.reshape(lanes, channels, out_h, out_w)
 
 
 __all__ = ["StackedPolicy", "SUPPORTED_LAYERS"]

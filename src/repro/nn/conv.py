@@ -37,20 +37,36 @@ def unfold_patches(
     :func:`im2col` and the lane-stacked conv of :mod:`repro.nn.batched` both
     unfold through here and only differ in how they reshape the buffer into
     GEMM operands.
+
+    The buffer is one C-contiguous copy of a strided window view over the
+    input (over a zero-filled padded copy when ``padding > 0``).  It must
+    stay that contiguous copy: the GEMM operands reshaped from it keep its
+    strides, and BLAS picks its kernel, and so its reduction order, from
+    operand strides.  For a batch of one, ``im2col``'s reshape of this buffer
+    is a ``(8, out_h * out_w * 8)``-strided view, not a copy.
     """
     batch, channels, height, width = inputs.shape
     out_h = _output_size(height, kernel_h, stride, padding)
     out_w = _output_size(width, kernel_w, stride, padding)
-    padded = np.pad(
-        inputs, ((0, 0), (0, 0), (padding, padding), (padding, padding)), mode="constant"
+    if padding:
+        padded = np.zeros(
+            (batch, channels, height + 2 * padding, width + 2 * padding), dtype=inputs.dtype
+        )
+        padded[:, :, padding:-padding, padding:-padding] = inputs
+    else:
+        padded = np.ascontiguousarray(inputs)
+    batch_step, channel_step, row_step, col_step = padded.strides
+    # The window view over ``padded``'s memory (``as_strided`` builds the same
+    # view at several times the cost).
+    windows = np.ndarray(
+        (batch, channels, kernel_h, kernel_w, out_h, out_w),
+        dtype=padded.dtype,
+        buffer=padded,
+        strides=(
+            batch_step, channel_step, row_step, col_step, stride * row_step, stride * col_step
+        ),
     )
-    columns = np.empty((batch, channels, kernel_h, kernel_w, out_h, out_w), dtype=inputs.dtype)
-    for row in range(kernel_h):
-        row_end = row + stride * out_h
-        for col in range(kernel_w):
-            col_end = col + stride * out_w
-            columns[:, :, row, col, :, :] = padded[:, :, row:row_end:stride, col:col_end:stride]
-    return columns
+    return windows.copy()
 
 
 def im2col(
@@ -94,6 +110,36 @@ def col2im(
     if padding == 0:
         return padded
     return padded[:, :, padding:-padding, padding:-padding]
+
+
+#: The bit pattern of ``-0.0`` read as an int64: the least int64.
+_NEGATIVE_ZERO_BITS = np.iinfo(np.int64).min
+
+
+def _window_max(columns: np.ndarray) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Row maxima of an :func:`im2col` buffer, with the bytes of ``columns.max(axis=1)``.
+
+    ``max(axis=1)`` runs one reduction loop per short row, so the rows are
+    copied window-major, into a ``(window, rows)`` buffer, and reduced
+    elementwise instead.  Both formulations return an element equal to the
+    row maximum, and that fixes its bytes unless the row holds a NaN or both
+    signed zeros: which NaN or which zero comes back depends on numpy's SIMD
+    path and on the buffer's layout (a leading ``-nan`` reduces to ``+nan``
+    in a C-contiguous buffer).  If any row does, the maxima come from
+    ``max(axis=1)`` itself.  Returns the maxima and the window-major buffer,
+    or ``None`` in its place when the maxima come from ``max(axis=1)``.
+    """
+    windows = columns.T.copy()
+    maxima = np.maximum.reduce(windows)
+    bits = windows.view(np.int64)
+    # A row holds -0.0 iff its least int64 pattern is -0.0's, and +0.0 iff
+    # its least uint64 pattern is 0.
+    ambiguous = np.minimum.reduce(bits) == _NEGATIVE_ZERO_BITS
+    ambiguous &= np.minimum.reduce(bits.view(np.uint64)) == 0
+    ambiguous |= np.isnan(maxima)
+    if ambiguous.any():
+        return columns.max(axis=1), None
+    return maxima, windows
 
 
 class Conv2d(Module):
@@ -187,8 +233,10 @@ class MaxPool2d(Module):
         super().__init__()
         if kernel_size <= 0:
             raise ValueError("kernel_size must be positive")
+        if stride is not None and stride <= 0:
+            raise ValueError("stride must be positive")
         self.kernel_size = kernel_size
-        self.stride = stride or kernel_size
+        self.stride = kernel_size if stride is None else stride
         self._cached_input_shape: Optional[Tuple[int, int, int, int]] = None
         self._cached_argmax: Optional[np.ndarray] = None
         self._cached_output_size: Optional[Tuple[int, int]] = None
@@ -209,8 +257,18 @@ class MaxPool2d(Module):
         )
         self._cached_input_shape = inputs.shape
         self._cached_output_size = (out_h, out_w)
-        self._cached_argmax = columns.argmax(axis=1)
-        output = columns.max(axis=1)
+        output, windows = _window_max(columns)
+        if windows is None:
+            argmax = columns.argmax(axis=1)
+        else:
+            # Without NaNs ``argmax`` is the first window index equal to the
+            # maximum.  Walking the window backwards, the index resets to 0
+            # at a hit and otherwise counts one more step to the next hit.
+            argmax = np.zeros(output.shape, dtype=np.intp)
+            for index in range(len(windows) - 2, -1, -1):
+                argmax += 1
+                argmax *= windows[index] != output
+        self._cached_argmax = argmax
         return output.reshape(batch, channels, out_h, out_w)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
