@@ -63,25 +63,28 @@ def single_step_fault_success_rate(
 
     For every attempt one step index is drawn at random; at that step the
     action is computed with the corrupted policy (a faulty read register),
-    every other step uses the clean policy (memory is intact).
+    every other step uses the clean policy (memory is intact).  Both
+    policies' greedy actions are looked up in per-environment cell tables.
     """
+    from repro.rl.rollout import greedy_action_table
+
     rng = as_rng(rng)
     clean_agent = gridworld_agent_with_state(scale, clean_state, rng=rng)
     faulty_agent = gridworld_agent_with_state(scale, corrupted_state, rng=rng)
     successes = 0
     total = 0
     for env in envs:
+        clean_actions = greedy_action_table(clean_agent, env)
+        faulty_actions = greedy_action_table(faulty_agent, env)
         for _attempt in range(attempts_per_env):
             faulty_step = int(rng.integers(0, scale.max_steps))
-            observation = env.reset()
+            env.reset()
             done = False
             step = 0
             outcome = ""
             while not done:
-                actor = faulty_agent if step == faulty_step else clean_agent
-                action = actor.select_action(observation, explore=False)
-                result = env.step(action)
-                observation = result.observation
+                actions = faulty_actions if step == faulty_step else clean_actions
+                result = env.step(actions[env.position])
                 done = result.done
                 outcome = str(result.info.get("outcome", ""))
                 step += 1

@@ -12,8 +12,10 @@ provide 12 deterministic layouts generated from per-environment seeds.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import lru_cache
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -35,10 +37,18 @@ class CellType(IntEnum):
 ACTIONS: Tuple[Tuple[int, int], ...] = ((-1, 0), (1, 0), (0, 1), (0, -1))
 ACTION_NAMES: Tuple[str, ...] = ("up", "down", "right", "left")
 
+# Plain-int cell codes for table lookups.
+_HELL = int(CellType.HELL)
+_GOAL = int(CellType.GOAL)
+
 
 @dataclass(frozen=True)
 class GridWorldLayout:
-    """An immutable maze description."""
+    """An immutable maze description.
+
+    The layout keeps a read-only copy of ``grid``, so environments may build
+    their lookup tables from it once.
+    """
 
     grid: np.ndarray  # 2D array of CellType values
     source: Tuple[int, int]
@@ -46,9 +56,15 @@ class GridWorldLayout:
     name: str = "layout"
 
     def __post_init__(self) -> None:
-        grid = np.asarray(self.grid)
+        grid = np.array(self.grid)
         if grid.ndim != 2:
             raise ValueError("grid must be a 2D array")
+        rows, cols = grid.shape
+        for role, (row, col) in (("source", self.source), ("goal", self.goal)):
+            if not (0 <= row < rows and 0 <= col < cols):
+                raise ValueError(f"{role} {(row, col)} lies outside the {rows}x{cols} grid")
+        grid.setflags(write=False)
+        object.__setattr__(self, "grid", grid)
         if grid[self.source] == CellType.HELL:
             raise ValueError("source cell must not be a hell cell")
         if grid[self.goal] != CellType.GOAL:
@@ -75,19 +91,21 @@ class GridWorldLayout:
         return "\n".join(lines)
 
 
+@lru_cache(maxsize=256)
 def generate_layout(
     seed: int,
     size: int = 10,
     obstacle_fraction: float = 0.18,
     name: Optional[str] = None,
 ) -> GridWorldLayout:
-    """Generate a solvable random maze layout from ``seed``.
+    """Generate a solvable random maze layout from the integer ``seed``.
 
     Obstacles are re-sampled until a path from source to goal exists, so every
     generated layout is solvable (the paper's mazes always have a reachable
-    goal).
+    goal).  The layout is a pure function of the arguments and is memoized:
+    repeated calls return the same immutable layout.
     """
-    rng = as_rng(seed)
+    rng = as_rng(operator.index(seed))
     if size < 4:
         raise ValueError(f"grid size must be at least 4, got {size}")
     if not 0.0 <= obstacle_fraction < 0.5:
@@ -186,6 +204,7 @@ class GridWorldEnv(Environment):
         self.max_steps = max_steps
         self.observation_mode = observation_mode
         self.observation_shape = (4,) if observation_mode == "local" else (6,)
+        self._cells, self._observations = _lookup_tables(layout, observation_mode)
         self._position: Tuple[int, int] = layout.source
         self._steps = 0
         self._done = True  # requires reset() before stepping
@@ -195,6 +214,11 @@ class GridWorldEnv(Environment):
         """The agent's current (row, column) cell."""
         return self._position
 
+    @property
+    def observation_table(self) -> np.ndarray:
+        """Read-only ``(rows, cols, *observation_shape)`` table of every cell's observation."""
+        return self._observations
+
     def reset(self) -> np.ndarray:
         """Put the agent back on the source cell and start a new episode."""
         self._position = self.layout.source
@@ -203,70 +227,92 @@ class GridWorldEnv(Environment):
         return self.observe()
 
     def observe(self, position: Optional[Tuple[int, int]] = None) -> np.ndarray:
-        """Observation around ``position``.
+        """Observation around ``position`` (the agent's cell by default).
 
         The first four elements are the neighbourhood encoding ordered
         (up, down, right, left) to match the action encoding; values are -1
         for hell/out-of-bounds, +1 for goal, 0 for free/source.  In
         ``goal_direction`` mode two extra elements give the sign of the
-        row/column offset from the agent to the goal.
+        row/column offset from the agent to the goal.  The result is a
+        read-only row of :attr:`observation_table`; a position off the grid
+        raises ``ValueError``.
         """
-        row, col = position if position is not None else self._position
-        size = 4 if self.observation_mode == "local" else 6
-        observation = np.zeros(size, dtype=np.float64)
-        for index, (d_row, d_col) in enumerate(ACTIONS):
-            cell = self.layout.cell(row + d_row, col + d_col)
-            if cell == CellType.HELL:
-                observation[index] = -1.0
-            elif cell == CellType.GOAL:
-                observation[index] = 1.0
-            else:
-                observation[index] = 0.0
-        if self.observation_mode == "goal_direction":
-            goal_row, goal_col = self.layout.goal
-            observation[4] = float(np.sign(goal_row - row))
-            observation[5] = float(np.sign(goal_col - col))
-        return observation
+        row, col = self._position if position is None else position
+        rows, cols = self.layout.shape
+        if not (0 <= row < rows and 0 <= col < cols):
+            raise ValueError(f"position {(row, col)} lies outside the {rows}x{cols} grid")
+        return self._observations[row, col]
 
     def _distance_to_goal(self, position: Tuple[int, int]) -> int:
         return abs(position[0] - self.layout.goal[0]) + abs(position[1] - self.layout.goal[1])
 
     def step(self, action: int) -> StepResult:
-        """Move one cell in the action's direction; reward per the cell type."""
+        """Move one cell in the action's direction; reward per the cell type.
+
+        A crash ends the episode with the agent left on its previous cell.
+        """
         if self._done:
             raise RuntimeError("step called on a finished episode; call reset() first")
         action = self.validate_action(action)
         d_row, d_col = ACTIONS[action]
         previous = self._position
         candidate = (previous[0] + d_row, previous[1] + d_col)
-        cell = self.layout.cell(*candidate)
+        cell = self._cells[candidate[0] + 1, candidate[1] + 1]
         self._steps += 1
         info = {"position": candidate, "steps": self._steps, "action": ACTION_NAMES[action]}
-        if cell == CellType.HELL:
+        if cell == _HELL:
             self._done = True
             info["outcome"] = "crash"
-            return StepResult(self.observe(previous), self.REWARD_CRASH, True, info)
+            return StepResult(self._observations[previous], self.REWARD_CRASH, True, info)
         self._position = candidate
-        if cell == CellType.GOAL:
+        observation = self._observations[candidate]
+        if cell == _GOAL:
             self._done = True
             info["outcome"] = "goal"
-            return StepResult(self.observe(candidate), self.REWARD_GOAL, True, info)
-        if self._steps >= self.max_steps:
-            self._done = True
-            info["outcome"] = "timeout"
-            reward = (
-                self.REWARD_CLOSER
-                if self._distance_to_goal(candidate) < self._distance_to_goal(previous)
-                else self.REWARD_FARTHER
-            )
-            return StepResult(self.observe(candidate), reward, True, info)
+            return StepResult(observation, self.REWARD_GOAL, True, info)
         reward = (
             self.REWARD_CLOSER
             if self._distance_to_goal(candidate) < self._distance_to_goal(previous)
             else self.REWARD_FARTHER
         )
+        if self._steps >= self.max_steps:
+            self._done = True
+            info["outcome"] = "timeout"
+            return StepResult(observation, reward, True, info)
         info["outcome"] = "move"
-        return StepResult(self.observe(candidate), reward, False, info)
+        return StepResult(observation, reward, False, info)
+
+
+def _lookup_tables(layout: GridWorldLayout, observation_mode: str) -> Tuple[np.ndarray, np.ndarray]:
+    """The layout's cells inside a one-cell HELL border, and every cell's observation.
+
+    The border turns "out of bounds is hell" into a plain lookup: cell
+    ``(row, col)`` sits at ``cells[row + 1, col + 1]``.  Observations hold
+    exact small constants (-1, 0, +1), so the table is the same bytes
+    however it is computed.  Both tables are read-only.
+    """
+    rows, cols = layout.shape
+    cells = np.full((rows + 2, cols + 2), _HELL, dtype=np.int64)
+    cells[1:-1, 1:-1] = layout.grid
+    neighbours = np.stack(
+        [
+            cells[1 + d_row : rows + 1 + d_row, 1 + d_col : cols + 1 + d_col]
+            for d_row, d_col in ACTIONS
+        ],
+        axis=-1,
+    )
+    columns = [np.where(neighbours == _HELL, -1.0, np.where(neighbours == _GOAL, 1.0, 0.0))]
+    if observation_mode == "goal_direction":
+        goal_row, goal_col = layout.goal
+        offsets = np.broadcast_arrays(
+            np.sign(goal_row - np.arange(rows))[:, None],
+            np.sign(goal_col - np.arange(cols))[None, :],
+        )
+        columns.append(np.stack(offsets, axis=-1).astype(np.float64))
+    observations = np.concatenate(columns, axis=-1)
+    cells.setflags(write=False)
+    observations.setflags(write=False)
+    return cells, observations
 
 
 #: Row/column deltas indexed by action, for vectorized candidate moves.
@@ -276,9 +322,9 @@ _ACTION_DELTAS = np.asarray(ACTIONS, dtype=np.int64)
 class GridWorldVecEnv:
     """Lockstep batch of :class:`GridWorldEnv` lanes with masked termination.
 
-    Grids are stacked with a one-cell HELL border so the serial
-    "out-of-bounds is hell" rule becomes a plain array lookup; all arithmetic
-    is integer or exact small constants, so per-lane results are trivially
+    The lanes' HELL-bordered cell grids and observation tables are stacked,
+    so a step is the serial lookup gathered over lanes; all arithmetic is
+    integer or exact small constants, so per-lane results are trivially
     bitwise equal to :meth:`GridWorldEnv.step`.  Finished lanes freeze until
     :meth:`reset_batch` revives them (evaluation runs attempts back to back
     per lane this way).
@@ -304,12 +350,8 @@ class GridWorldVecEnv:
         self.max_steps = envs[0].max_steps
         self.observation_mode = envs[0].observation_mode
         self.observation_shape = envs[0].observation_shape
-        rows, cols = envs[0].layout.shape
-        self._grids = np.full(
-            (self.lane_count, rows + 2, cols + 2), int(CellType.HELL), dtype=np.int64
-        )
-        for lane, env in enumerate(envs):
-            self._grids[lane, 1:-1, 1:-1] = np.asarray(env.layout.grid, dtype=np.int64)
+        self._grids = np.stack([env._cells for env in envs])
+        self._tables = np.stack([env._observations for env in envs])
         self._sources = np.array([env.layout.source for env in envs], dtype=np.int64)
         self._goals = np.array([env.layout.goal for env in envs], dtype=np.int64)
         self._positions = self._sources.copy()
@@ -346,7 +388,8 @@ class GridWorldVecEnv:
         self._positions[lanes] = self._sources[lanes]
         self._steps[lanes] = 0
         self._done[lanes] = False
-        self._observations[lanes] = self._observe_batch(lanes, self._positions[lanes])
+        sources = self._sources[lanes]
+        self._observations[lanes] = self._tables[lanes, sources[:, 0], sources[:, 1]]
         return self._observations
 
     def step_batch(self, actions: np.ndarray) -> VecStepResult:
@@ -363,8 +406,8 @@ class GridWorldVecEnv:
         candidate = previous + _ACTION_DELTAS[act]
         cell = self._grids[active, candidate[:, 0] + 1, candidate[:, 1] + 1]
         steps = self._steps[active] + 1
-        crash = cell == int(CellType.HELL)
-        goal = cell == int(CellType.GOAL)
+        crash = cell == _HELL
+        goal = cell == _GOAL
         timeout = (steps >= self.max_steps) & ~crash & ~goal
 
         goal_rows = self._goals[active, 0]
@@ -390,7 +433,7 @@ class GridWorldVecEnv:
         # Crashed lanes observe from where they stood; everyone else from the
         # committed candidate cell — exactly the serial branch structure.
         observe_at = np.where(crash[:, None], previous, candidate)
-        self._observations[active] = self._observe_batch(active, observe_at)
+        self._observations[active] = self._tables[active, observe_at[:, 0], observe_at[:, 1]]
 
         rewards = np.zeros(self.lane_count)
         rewards[active] = reward
@@ -413,23 +456,6 @@ class GridWorldVecEnv:
             stepped=stepped,
             outcomes=outcomes,
         )
-
-    def _observe_batch(self, lanes: np.ndarray, positions: np.ndarray) -> np.ndarray:
-        """Vectorized image of :meth:`GridWorldEnv.observe` over ``lanes``."""
-        observation = np.zeros((positions.shape[0],) + self.observation_shape)
-        rows = positions[:, 0]
-        cols = positions[:, 1]
-        for index, (d_row, d_col) in enumerate(ACTIONS):
-            cell = self._grids[lanes, rows + d_row + 1, cols + d_col + 1]
-            observation[:, index] = np.where(
-                cell == int(CellType.HELL),
-                -1.0,
-                np.where(cell == int(CellType.GOAL), 1.0, 0.0),
-            )
-        if self.observation_mode == "goal_direction":
-            observation[:, 4] = np.sign(self._goals[lanes, 0] - rows)
-            observation[:, 5] = np.sign(self._goals[lanes, 1] - cols)
-        return observation
 
 
 def make_gridworld_suite(

@@ -16,7 +16,10 @@ class Linear(Module):
     """Fully connected layer ``y = x @ W + b``.
 
     Weights are stored as ``(in_features, out_features)`` so a batch of row
-    vectors maps directly onto a matrix product.
+    vectors maps directly onto a matrix product.  A stack of single rows
+    ``(rows, 1, in_features)`` runs one single-row product per row, the BLAS
+    call of a one-row forward, so every row keeps its bytes.  Stacked
+    forwards are inference-only: ``backward`` refuses them.
     """
 
     def __init__(
@@ -43,9 +46,9 @@ class Linear(Module):
         inputs = np.asarray(inputs, dtype=np.float64)
         if inputs.ndim == 1:
             inputs = inputs.reshape(1, -1)
-        if inputs.shape[1] != self.in_features:
+        if inputs.shape[-1] != self.in_features:
             raise ValueError(
-                f"expected input with {self.in_features} features, got {inputs.shape[1]}"
+                f"expected input with {self.in_features} features, got {inputs.shape[-1]}"
             )
         self._cached_input = inputs
         output = inputs @ self.weight.value
@@ -56,6 +59,8 @@ class Linear(Module):
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cached_input is None:
             raise RuntimeError("backward called before forward")
+        if self._cached_input.ndim != 2:
+            raise RuntimeError("backward after a stacked forward; stacks are inference-only")
         grad_output = np.asarray(grad_output, dtype=np.float64)
         if grad_output.ndim == 1:
             grad_output = grad_output.reshape(1, -1)

@@ -15,7 +15,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.envs.base import Environment
-from repro.nn import Adam, HuberLoss, Sequential, build_gridworld_q_network
+from repro.nn import Adam, HuberLoss, Linear, ReLU, Sequential, build_gridworld_q_network
 from repro.rl.base import Agent, EpisodeStats, outcome_to_stats
 from repro.rl.exploration import EpsilonSchedule, LinearEpsilonDecay
 from repro.rl.replay import ReplayBuffer
@@ -99,6 +99,24 @@ class QLearningAgent(Agent):
     def greedy_action_from(self, q_values: np.ndarray) -> int:
         """Greedy action from precomputed Q-values (draws no random numbers)."""
         return int(np.argmax(q_values))
+
+    def greedy_actions(self, observations: np.ndarray) -> np.ndarray:
+        """The greedy action of every observation row, as ``select_action`` picks it.
+
+        The rows run through one forward stacked as ``(rows, 1, features)``,
+        so numpy's matmul makes the single-row product of :meth:`q_values`
+        for each row and every row keeps its bytes; a ``(rows, features)``
+        batch would change the BLAS kernel.  Layers other than Linear and
+        ReLU are refused: a fault hook draws on every forward.
+        """
+        for module in self.network:
+            if not isinstance(module, (Linear, ReLU)):
+                raise TypeError(
+                    f"greedy action tables need Linear and ReLU layers, got {type(module).__name__}"
+                )
+        observations = np.asarray(observations, dtype=np.float64)
+        q_values = self.network.forward(observations[:, None, :])[:, 0]
+        return np.argmax(q_values, axis=1)
 
     # ---------------------------------------------------------------- learning
     def _update_from_replay(self) -> float:

@@ -18,25 +18,31 @@ evaluate without touching the agent's stream.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from functools import partial
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
 from repro.envs.base import Environment
+from repro.envs.gridworld import GridWorldEnv
 from repro.nn.batched import StackedPolicy
 from repro.rl.base import Agent, EpisodeStats, outcome_to_stats
+from repro.rl.qlearning import QLearningAgent
 from repro.utils.rng import as_rng
 
 
-def greedy_episode(agent: Agent, env: Environment, epsilon: float = 0.0, rng=None) -> EpisodeStats:
+def greedy_episode(
+    act: Callable[[np.ndarray], int], env: Environment, epsilon: float, rng
+) -> EpisodeStats:
     """Run one exploitation episode without learning.
 
-    ``epsilon`` injects residual exploration noise (probability of a uniform
-    random action per step).
+    ``act`` maps the current observation to the greedy action.  ``epsilon``
+    injects residual exploration noise: when it is positive, every step
+    draws from ``rng`` and, with probability ``epsilon``, takes a uniform
+    random action instead.
     """
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
-    rng = as_rng(rng if rng is not None else getattr(agent, "rng", None))
     observation = env.reset()
     total_reward = 0.0
     steps = 0
@@ -46,7 +52,7 @@ def greedy_episode(agent: Agent, env: Environment, epsilon: float = 0.0, rng=Non
         if epsilon > 0.0 and rng.random() < epsilon:
             action = int(rng.integers(0, env.action_count))
         else:
-            action = agent.select_action(observation, explore=False)
+            action = act(observation)
         result = env.step(action)
         total_reward += result.reward
         steps += 1
@@ -56,20 +62,41 @@ def greedy_episode(agent: Agent, env: Environment, epsilon: float = 0.0, rng=Non
     return outcome_to_stats(total_reward, steps, last_info)
 
 
+def greedy_action_table(agent: QLearningAgent, env: GridWorldEnv) -> np.ndarray:
+    """``agent``'s greedy action in every cell of ``env``, indexed ``[row, col]``.
+
+    One stacked forward over ``env.observation_table``; draws no random
+    numbers.
+    """
+    table = env.observation_table
+    rows, cols, size = table.shape
+    return agent.greedy_actions(table.reshape(rows * cols, size)).reshape(rows, cols)
+
+
 def evaluate_success_rate(
-    agent: Agent,
-    env: Environment,
+    agent: QLearningAgent,
+    env: GridWorldEnv,
     attempts: int = 20,
     epsilon: float = 0.05,
     rng=None,
 ) -> float:
-    """Fraction of attempts in which the agent reached the goal (GridWorld SR)."""
+    """Fraction of attempts in which the agent reached the goal (GridWorld SR).
+
+    Greedy actions come from one :func:`greedy_action_table` for all
+    attempts.
+    """
     if attempts <= 0:
         raise ValueError(f"attempts must be positive, got {attempts}")
     rng = as_rng(rng if rng is not None else getattr(agent, "rng", None))
+    actions = greedy_action_table(agent, env)
+
+    def act(_observation: np.ndarray) -> int:
+        """The table's action for the agent's cell."""
+        return actions[env.position]
+
     successes = 0
     for _ in range(attempts):
-        stats = greedy_episode(agent, env, epsilon=epsilon, rng=rng)
+        stats = greedy_episode(act, env, epsilon, rng)
         if stats.success:
             successes += 1
     return successes / attempts
@@ -86,9 +113,10 @@ def evaluate_flight_distance(
     if attempts <= 0:
         raise ValueError(f"attempts must be positive, got {attempts}")
     rng = as_rng(rng if rng is not None else getattr(agent, "rng", None))
+    act = partial(agent.select_action, explore=False)
     distances: List[float] = []
     for _ in range(attempts):
-        stats = greedy_episode(agent, env, epsilon=epsilon, rng=rng)
+        stats = greedy_episode(act, env, epsilon, rng)
         distances.append(stats.flight_distance)
     return float(np.mean(distances))
 

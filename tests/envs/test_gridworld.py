@@ -46,6 +46,40 @@ class TestLayoutGeneration:
         with pytest.raises(ValueError):
             GridWorldLayout(grid=grid, source=(0, 0), goal=(2, 2))
 
+    @pytest.mark.parametrize(
+        "source, goal",
+        [
+            ((-1, 0), (-1, -1)),
+            ((0, 0), (-1, 4)),
+            ((5, 0), (4, 4)),
+            ((0, -1), (4, 4)),
+            ((0, 0), (4, 5)),
+        ],
+    )
+    def test_layout_rejects_off_grid_source_or_goal(self, source, goal):
+        grid = np.zeros((5, 5), dtype=np.int8)
+        grid[4, 4] = int(CellType.GOAL)
+        with pytest.raises(ValueError, match="outside the 5x5 grid"):
+            GridWorldLayout(grid=grid, source=source, goal=goal)
+
+    def test_layout_grid_is_a_read_only_copy(self):
+        grid = np.zeros((4, 4), dtype=np.int8)
+        grid[3, 3] = int(CellType.GOAL)
+        layout = GridWorldLayout(grid=grid, source=(0, 0), goal=(3, 3))
+        grid[1, 1] = int(CellType.HELL)
+        assert layout.grid[1, 1] == CellType.FREE
+        with pytest.raises(ValueError):
+            layout.grid[1, 1] = int(CellType.HELL)
+
+    def test_generation_is_memoized(self):
+        assert generate_layout(seed=5) is generate_layout(seed=5)
+        assert generate_layout(seed=5, name="other") is not generate_layout(seed=5)
+        assert not generate_layout(seed=5).grid.flags.writeable
+
+    def test_generation_needs_an_integer_seed(self):
+        with pytest.raises(TypeError):
+            generate_layout(seed=None)
+
 
 class TestObservations:
     def test_local_mode_shape_and_values(self):

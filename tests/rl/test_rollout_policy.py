@@ -1,5 +1,7 @@
 """Tests for rollout evaluation helpers and policy statistics."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -21,13 +23,15 @@ def make_agent():
 
 class TestRollout:
     def test_greedy_episode_stats(self):
-        stats = greedy_episode(make_agent(), make_env())
+        act = partial(make_agent().select_action, explore=False)
+        stats = greedy_episode(act, make_env(), 0.0, np.random.default_rng(0))
         assert stats.steps > 0
         assert stats.success in (True, False)
 
     def test_epsilon_validation(self):
+        act = partial(make_agent().select_action, explore=False)
         with pytest.raises(ValueError):
-            greedy_episode(make_agent(), make_env(), epsilon=1.5)
+            greedy_episode(act, make_env(), 1.5, np.random.default_rng(0))
 
     def test_success_rate_bounds(self):
         rate = evaluate_success_rate(make_agent(), make_env(), attempts=5, rng=0)
