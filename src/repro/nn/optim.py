@@ -64,7 +64,23 @@ class SGD(Optimizer):
 
 
 class Adam(Optimizer):
-    """Adam optimizer."""
+    """Adam optimizer.
+
+    The first and second moments are two flat float64 arrays holding every
+    parameter's elements in parameter order, so a step runs each elementwise
+    operation once over all parameters and then subtracts each parameter's
+    slice of the update from its ``value`` in place.  Parameters keep their
+    own ``value`` and ``grad`` arrays.
+
+    An elementwise op computes each element from that element's operands
+    alone, so every parameter gets the bytes a per-parameter loop gives it.
+    The exception stays in the moments: for NaN + NaN numpy's add returns
+    either operand's payload, by the element's place in the SIMD loop.  A
+    moment turns NaN only in a step that also makes its parameter NaN, and
+    a NaN parameter minus a NaN update keeps its own payload.  Only a
+    parameter rewritten from outside (a fault flipping a NaN back into a
+    number) takes a NaN moment's payload on the next step.
+    """
 
     def __init__(
         self,
@@ -88,29 +104,36 @@ class Adam(Optimizer):
         self.epsilon = epsilon
         self.weight_decay = weight_decay
         self._step_count = 0
-        self._first_moment: Dict[int, np.ndarray] = {
-            id(p): np.zeros_like(p.value) for p in self.parameters
-        }
-        self._second_moment: Dict[int, np.ndarray] = {
-            id(p): np.zeros_like(p.value) for p in self.parameters
-        }
+        stops = np.cumsum([p.value.size for p in self.parameters]).tolist()
+        self._first_moment = np.zeros(stops[-1])
+        self._second_moment = np.zeros(stops[-1])
+        self._update = np.empty(stops[-1])
+        self._update_views = [
+            (p, self._update[stop - p.value.size : stop].reshape(p.value.shape))
+            for p, stop in zip(self.parameters, stops)
+        ]
 
     def step(self) -> None:
         self._step_count += 1
         bias_correction1 = 1.0 - self.beta1**self._step_count
         bias_correction2 = 1.0 - self.beta2**self._step_count
-        for parameter in self.parameters:
-            grad = parameter.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * parameter.value
-            first = self._first_moment[id(parameter)]
-            second = self._second_moment[id(parameter)]
-            first *= self.beta1
-            first += (1.0 - self.beta1) * grad
-            second *= self.beta2
-            second += (1.0 - self.beta2) * grad**2
-            corrected_first = first / bias_correction1
-            corrected_second = second / bias_correction2
-            parameter.value -= (
-                self.learning_rate * corrected_first / (np.sqrt(corrected_second) + self.epsilon)
+        grad = np.concatenate([p.grad for p in self.parameters], axis=None)
+        if self.weight_decay:
+            grad = grad + self.weight_decay * np.concatenate(
+                [p.value for p in self.parameters], axis=None
             )
+        first = self._first_moment
+        second = self._second_moment
+        first *= self.beta1
+        first += (1.0 - self.beta1) * grad
+        second *= self.beta2
+        second += (1.0 - self.beta2) * grad**2
+        corrected_first = first / bias_correction1
+        corrected_second = second / bias_correction2
+        np.divide(
+            self.learning_rate * corrected_first,
+            np.sqrt(corrected_second) + self.epsilon,
+            out=self._update,
+        )
+        for parameter, update in self._update_views:
+            parameter.value -= update

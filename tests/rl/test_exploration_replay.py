@@ -73,6 +73,27 @@ class TestReplayBuffer:
         buffer.clear()
         assert len(buffer) == 0
 
+    @pytest.mark.parametrize("observation", [np.float64(5.0), np.zeros(1), np.zeros((4, 1))],
+                             ids=["scalar", "length-1", "column"])
+    def test_add_rejects_an_observation_of_another_shape(self, observation):
+        buffer = self.make_buffer()
+        buffer.add(np.zeros(4), 0, 0.0, np.zeros(4), False)
+        with pytest.raises(ValueError, match="^observation of shape"):
+            buffer.add(observation, 0, 0.0, np.zeros(4), False)
+        with pytest.raises(ValueError, match="^next_observation of shape"):
+            buffer.add(np.zeros(4), 0, 0.0, observation, False)
+        assert len(buffer) == 1
+
+    def test_add_rejects_a_float_row_after_an_int_row(self):
+        buffer = self.make_buffer()
+        buffer.add(np.arange(4), 0, 0.0, np.arange(4), False)
+        with pytest.raises(ValueError, match="dtype float64"):
+            buffer.add(np.full(4, 0.5), 0, 0.0, np.arange(4), False)
+        with pytest.raises(ValueError, match="^next_observation .* dtype float64"):
+            buffer.add(np.arange(4), 0, 0.0, np.full(4, 0.5), False)
+        observations, *_ = buffer.sample_arrays(1)
+        assert observations.dtype == np.arange(4).dtype
+
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             ReplayBuffer(capacity=0)
