@@ -111,8 +111,7 @@ class TrainingFaultCallback(TrainingCallback):
         else:
             consensus = system.consensus_state()
             corrupted = self.injector.corrupt_state_dict(consensus, self.spec.bit_error_rate)
-            if hasattr(system, "server"):
-                system.server.set_consensus(corrupted)
+            system.server.set_consensus(corrupted)
             for agent_index in range(system.agent_count):
                 system.corrupt_agent(
                     agent_index,

@@ -46,6 +46,122 @@ def decode_action(action: int) -> Tuple[float, float]:
     return np.deg2rad(YAW_DELTAS_DEG[yaw_index]), SPEED_FACTORS[speed_index]
 
 
+# ------------------------------------------------------------------ kernels
+# The physics below works on rows: row ``i`` is one drone at ``positions[i]``
+# (shape ``(rows, 2)``) in its own world, given by ``half_widths[i]``,
+# ``obstacles[i]`` (shape ``(rows, obstacles, 2)``) and
+# ``obstacle_radii[i]``.  ``DroneNavVecEnv`` passes the rows of its live
+# lanes; ``DroneWorld`` and ``DroneNavEnv`` pass one row.  Every op is
+# elementwise or row-wise, so a row's result does not depend on the others.
+
+
+def cast_rays(
+    positions: np.ndarray,
+    headings: np.ndarray,
+    angles: np.ndarray,
+    max_range: float,
+    half_widths: np.ndarray,
+    obstacles: np.ndarray,
+    obstacle_radii: np.ndarray,
+) -> np.ndarray:
+    """``(rows, rays)`` distances to the nearest wall or obstacle, capped at ``max_range``.
+
+    ``angles`` are ray offsets (radians) from each row's heading.
+    """
+    directions = np.stack(
+        [
+            np.cos(headings[:, None] + angles[None, :]),
+            np.sin(headings[:, None] + angles[None, :]),
+        ],
+        axis=2,
+    )  # (rows, rays, 2)
+    depths = np.full((positions.shape[0], angles.shape[0]), max_range)
+    # Wall intersections: y + t * dy = ±half_width  ->  t = (±hw - y) / dy.
+    dy = directions[:, :, 1]
+    y = positions[:, 1][:, None]
+    half_width = half_widths[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_top = np.where(dy > 1e-12, (half_width - y) / dy, np.inf)
+        t_bottom = np.where(dy < -1e-12, (-half_width - y) / dy, np.inf)
+    wall_t = np.minimum(t_top, t_bottom)
+    depths = np.minimum(depths, np.clip(wall_t, 0.0, max_range))
+    if obstacles.shape[1]:
+        # Circle intersection per ray: solve |p + t*d - c|^2 = r^2.
+        rel = obstacles - positions[:, None, :]  # (rows, obstacles, 2)
+        d = directions[:, :, None, :]  # (rows, rays, 1, 2)
+        b = np.sum(d * rel[:, None, :, :], axis=3)  # (rows, rays, obstacles)
+        c = np.sum(rel * rel, axis=2)[:, None, :] - obstacle_radii[:, None, None] ** 2
+        disc = b * b - c
+        hit = disc >= 0.0
+        sqrt_disc = np.sqrt(np.where(hit, disc, 0.0))
+        t_obstacle = np.where(hit, b - sqrt_disc, np.inf)
+        t_obstacle = np.where(t_obstacle >= 0.0, t_obstacle, np.inf)
+        nearest = t_obstacle.min(axis=2)
+        depths = np.minimum(depths, np.clip(nearest, 0.0, max_range))
+    return depths
+
+
+def collisions(
+    positions: np.ndarray,
+    drone_radius: float,
+    half_widths: np.ndarray,
+    obstacles: np.ndarray,
+    obstacle_radii: np.ndarray,
+) -> np.ndarray:
+    """``(rows,)`` flags: the drone of each row hits a wall or an obstacle."""
+    crashed = np.abs(positions[:, 1]) > half_widths - drone_radius
+    if obstacles.shape[1]:
+        gaps = np.hypot(
+            obstacles[:, :, 0] - positions[:, 0:1],
+            obstacles[:, :, 1] - positions[:, 1:2],
+        )
+        thresholds = (obstacle_radii + drone_radius)[:, None]
+        crashed = crashed | (gaps < thresholds).any(axis=1)
+    return crashed
+
+
+def camera_frames(
+    positions: np.ndarray,
+    depths: np.ndarray,
+    half_widths: np.ndarray,
+    config: "DroneNavConfig",
+) -> np.ndarray:
+    """``(rows, 3, H, W)`` camera frames expanded from each row's ray depths.
+
+    Channel 0 encodes normalized depth per image column (tiled vertically
+    with a mild vertical falloff, mimicking ground/sky structure), channel 1
+    encodes obstacle proximity (inverted depth) and channel 2 encodes the
+    lateral position of the drone within the corridor, giving the CNN the
+    same kind of spatial cues an RGB render would provide.
+    """
+    normalized = depths / config.max_range  # (rows, W)
+    vertical = np.linspace(1.0, 0.6, config.image_height).reshape(-1, 1)  # (H, 1)
+    depth_plane = vertical * normalized[:, None, :]
+    proximity_plane = vertical * (1.0 - normalized)[:, None, :]
+    lateral = (positions[:, 1] + half_widths) / (2 * half_widths)
+    lateral_plane = np.broadcast_to(
+        lateral[:, None, None],
+        (positions.shape[0], config.image_height, config.image_width),
+    )
+    return np.stack([depth_plane, proximity_plane, lateral_plane], axis=1).astype(np.float64)
+
+
+def depth_rewards(
+    depths: np.ndarray, forward: np.ndarray, config: "DroneNavConfig"
+) -> np.ndarray:
+    """``(rows,)`` rewards of a step that did not crash.
+
+    Stay away from obstacles (mean depth over the central third of the field
+    of view), with a small bonus for the ``forward`` (+x) displacement along
+    the corridor.
+    """
+    width = config.image_width
+    lo = width // 3
+    clearance = depths[:, lo : width - lo].mean(axis=1) / config.max_range
+    progress = forward / (config.base_speed * max(SPEED_FACTORS))
+    return clearance - 0.5 + 0.2 * progress
+
+
 @dataclass
 class DroneWorld:
     """A corridor world with cylindrical obstacles.
@@ -67,13 +183,16 @@ class DroneWorld:
 
     def collides(self, position: np.ndarray, drone_radius: float) -> bool:
         """True if the drone at ``position`` hits an obstacle or a wall."""
-        x, y = float(position[0]), float(position[1])
-        if abs(y) > self.half_width - drone_radius:
-            return True
-        if self.obstacles.size == 0:
-            return False
-        distances = np.hypot(self.obstacles[:, 0] - x, self.obstacles[:, 1] - y)
-        return bool((distances < self.obstacle_radius + drone_radius).any())
+        position = np.asarray(position, dtype=np.float64).reshape(1, 2)
+        return bool(
+            collisions(
+                position,
+                drone_radius,
+                np.array([self.half_width]),
+                self.obstacles[None],
+                np.array([self.obstacle_radius]),
+            )[0]
+        )
 
     def ray_depths(
         self,
@@ -86,36 +205,18 @@ class DroneWorld:
 
         ``angles`` are offsets (radians) from ``heading``.  Rays hit either a
         cylindrical obstacle or one of the corridor walls; readings are capped
-        at ``max_range``.
+        at ``max_range``.  One row of :func:`cast_rays`.
         """
-        x, y = float(position[0]), float(position[1])
-        directions = np.stack(
-            [np.cos(heading + angles), np.sin(heading + angles)], axis=1
-        )  # (rays, 2)
-        depths = np.full(angles.shape[0], max_range, dtype=np.float64)
-
-        # Wall intersections: y + t * dy = ±half_width  ->  t = (±hw - y) / dy.
-        dy = directions[:, 1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_top = np.where(dy > 1e-12, (self.half_width - y) / dy, np.inf)
-            t_bottom = np.where(dy < -1e-12, (-self.half_width - y) / dy, np.inf)
-        wall_t = np.minimum(t_top, t_bottom)
-        depths = np.minimum(depths, np.clip(wall_t, 0.0, max_range))
-
-        if self.obstacles.size:
-            # Circle intersection per ray: solve |p + t*d - c|^2 = r^2.
-            rel = self.obstacles[None, :, :] - np.array([[x, y]])[:, None, :]  # (1, obs, 2)
-            d = directions[:, None, :]  # (rays, 1, 2)
-            b = np.sum(d * rel, axis=2)  # (rays, obs)
-            c = np.sum(rel * rel, axis=2) - self.obstacle_radius**2
-            disc = b * b - c
-            hit = disc >= 0.0
-            sqrt_disc = np.sqrt(np.where(hit, disc, 0.0))
-            t_obstacle = np.where(hit, b - sqrt_disc, np.inf)
-            t_obstacle = np.where(t_obstacle >= 0.0, t_obstacle, np.inf)
-            nearest = t_obstacle.min(axis=1)
-            depths = np.minimum(depths, np.clip(nearest, 0.0, max_range))
-        return depths
+        position = np.asarray(position, dtype=np.float64).reshape(1, 2)
+        return cast_rays(
+            position,
+            np.array([heading], dtype=np.float64),
+            angles,
+            max_range,
+            np.array([self.half_width]),
+            self.obstacles[None],
+            np.array([self.obstacle_radius]),
+        )[0]
 
 
 def generate_world(
@@ -219,35 +320,25 @@ class DroneNavEnv(Environment):
         return self.observe()
 
     def observe(self) -> np.ndarray:
-        """Expand the ray-cast depth profile into a (3, H, W) camera frame.
+        """The (3, H, W) camera frame at the drone's pose (see :func:`camera_frames`)."""
+        return self._look()[1]
 
-        Channel 0 encodes normalized depth per image column (tiled vertically
-        with a mild vertical falloff, mimicking ground/sky structure),
-        channel 1 encodes obstacle proximity (inverted depth) and channel 2
-        encodes the lateral position of the drone within the corridor, giving
-        the CNN the same kind of spatial cues an RGB render would provide.
-        """
-        config = self.config
+    def _look(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The ray depths at the drone's pose and the camera frame built from them."""
         depths = self.world.ray_depths(
-            self._position, self._heading, self._ray_angles, config.max_range
+            self._position, self._heading, self._ray_angles, self.config.max_range
         )
-        normalized = depths / config.max_range  # (W,)
-        vertical = np.linspace(1.0, 0.6, config.image_height).reshape(-1, 1)  # (H, 1)
-        depth_plane = vertical * normalized[None, :]
-        proximity_plane = vertical * (1.0 - normalized)[None, :]
-        lateral = (self._position[1] + self.world.half_width) / (2 * self.world.half_width)
-        lateral_plane = np.full((config.image_height, config.image_width), lateral)
-        return np.stack([depth_plane, proximity_plane, lateral_plane]).astype(np.float64)
-
-    def _front_clearance(self, depths: np.ndarray) -> float:
-        """Mean depth over the central third of the field of view."""
-        width = depths.shape[0]
-        lo = width // 3
-        hi = width - lo
-        return float(depths[lo:hi].mean())
+        frame = camera_frames(
+            self._position[None], depths[None], np.array([self.world.half_width]), self.config
+        )[0]
+        return depths, frame
 
     def step(self, action: int) -> StepResult:
-        """Apply one (speed, steering) action; crash/survive per the ray-cast."""
+        """Apply one (speed, steering) action; crash/survive per the ray-cast.
+
+        One ray cast at the post-move pose serves the camera frame and the
+        clearance reward.
+        """
         if self._done:
             raise RuntimeError("step called on a finished episode; call reset() first")
         action = self.validate_action(action)
@@ -265,27 +356,21 @@ class DroneNavEnv(Environment):
             "steps": self._steps,
             "flight_distance": self._distance,
         }
-        if self.world.collides(self._position, config.drone_radius):
+        crashed = self.world.collides(self._position, config.drone_radius)
+        depths, observation = self._look()
+        if crashed:
             self._done = True
             info["outcome"] = "crash"
-            info["flight_distance"] = self._distance
-            return StepResult(self.observe(), config.crash_penalty, True, info)
+            return StepResult(observation, config.crash_penalty, True, info)
         self._distance += travelled
         info["flight_distance"] = self._distance
-        depths = self.world.ray_depths(
-            self._position, self._heading, self._ray_angles, config.max_range
-        )
-        clearance = self._front_clearance(depths) / config.max_range
-        # Depth-based reward: stay away from obstacles, with a small bonus for
-        # making forward progress along the corridor.
-        progress = displacement[0] / (config.base_speed * max(SPEED_FACTORS))
-        reward = clearance - 0.5 + 0.2 * progress
+        reward = depth_rewards(depths[None], displacement[:1], config)[0]
         if self._steps >= config.max_steps or self._position[0] >= self.world.length:
             self._done = True
             info["outcome"] = "survived"
-            return StepResult(self.observe(), reward, True, info)
+            return StepResult(observation, reward, True, info)
         info["outcome"] = "fly"
-        return StepResult(self.observe(), reward, False, info)
+        return StepResult(observation, reward, False, info)
 
 
 #: Obstacle coordinate used to pad lanes with fewer obstacles than the widest
@@ -304,16 +389,14 @@ _SPEED = np.asarray(SPEED_FACTORS, dtype=np.float64)
 class DroneNavVecEnv:
     """Lockstep batch of :class:`DroneNavEnv` lanes with masked termination.
 
-    Each lane mirrors one serial environment *bitwise*: every numpy op in
-    :meth:`step_batch` is the elementwise/row-wise image of the corresponding
-    serial op in :meth:`DroneNavEnv.step`, applied only to lanes that are
-    still running (finished lanes are frozen by mask, never recomputed).
-    Lanes may share a :class:`DroneWorld` object (worlds are read-only), which
-    is how evaluation runs several attempts of one environment in parallel.
-
-    The serial step ray-casts twice at the post-move pose (once for the
-    clearance reward, once inside ``observe``); being a pure function of pose,
-    one vectorized cast serves both uses for every stepped lane.
+    Each lane mirrors one serial environment *bitwise*: both run the same
+    row kernels (:func:`cast_rays`, :func:`collisions`, :func:`camera_frames`,
+    :func:`depth_rewards`), here on the rows of the lanes that are still
+    running (finished lanes are frozen by mask, never recomputed), and the
+    heading/displacement arithmetic is the elementwise image of
+    :meth:`DroneNavEnv.step`.  Lanes may share a :class:`DroneWorld` object
+    (worlds are read-only), which is how evaluation runs several attempts of
+    one environment in parallel.
     """
 
     action_count = len(YAW_DELTAS_DEG) * len(SPEED_FACTORS)
@@ -340,15 +423,9 @@ class DroneNavVecEnv:
             [env.world.obstacle_radius for env in envs], dtype=np.float64
         )
         counts = [env.world.obstacles.shape[0] for env in envs]
-        self._obstacle_max = max(counts)
-        if self._obstacle_max:
-            self._obstacles = np.full(
-                (self.lane_count, self._obstacle_max, 2), _FAR_OBSTACLE, dtype=np.float64
-            )
-            for lane, env in enumerate(envs):
-                self._obstacles[lane, : counts[lane]] = env.world.obstacles
-        else:
-            self._obstacles = np.zeros((self.lane_count, 0, 2))
+        self._obstacles = np.full((self.lane_count, max(counts), 2), _FAR_OBSTACLE)
+        for lane, env in enumerate(envs):
+            self._obstacles[lane, : counts[lane]] = env.world.obstacles
         self._positions = np.zeros((self.lane_count, 2))
         self._headings = np.zeros(self.lane_count)
         self._steps = np.zeros(self.lane_count, dtype=np.int64)
@@ -397,11 +474,18 @@ class DroneNavVecEnv:
         self._steps[lanes] = 0
         self._distances[lanes] = 0.0
         self._done[lanes] = False
-        depths = self._ray_depths_batch(
-            lanes, self._positions[lanes], self._headings[lanes]
+        positions = self._positions[lanes]
+        depths = cast_rays(
+            positions,
+            self._headings[lanes],
+            self._ray_angles,
+            self.config.max_range,
+            self._half_widths[lanes],
+            self._obstacles[lanes],
+            self._obstacle_radii[lanes],
         )
-        self._observations[lanes] = self._observe_batch(
-            lanes, self._positions[lanes], depths
+        self._observations[lanes] = camera_frames(
+            positions, depths, self._half_widths[lanes], self.config
         )
         return self._observations
 
@@ -431,37 +515,25 @@ class DroneNavVecEnv:
         steps = self._steps[active] + 1
         travelled = np.hypot(displacement[:, 0], displacement[:, 1])
 
-        # Collision test, vectorized image of DroneWorld.collides (computing
-        # the obstacle term even when the wall already hit is harmless: the
-        # serial short-circuit changes no booleans).
-        crashed = np.abs(position[:, 1]) > self._half_widths[active] - config.drone_radius
-        if self._obstacle_max:
-            gaps = np.hypot(
-                self._obstacles[active, :, 0] - position[:, 0:1],
-                self._obstacles[active, :, 1] - position[:, 1:2],
-            )
-            thresholds = (self._obstacle_radii[active] + config.drone_radius)[:, None]
-            crashed = crashed | (gaps < thresholds).any(axis=1)
-
+        half_widths = self._half_widths[active]
+        obstacles = self._obstacles[active]
+        radii = self._obstacle_radii[active]
+        crashed = collisions(position, config.drone_radius, half_widths, obstacles, radii)
         self._headings[active] = heading
         self._positions[active] = position
         self._steps[active] = steps
         flying = ~crashed
         self._distances[active[flying]] += travelled[flying]
 
-        # One ray cast at the post-move pose serves the clearance reward and
-        # the observation of every stepped lane (crashed lanes only observe).
-        depths = self._ray_depths_batch(active, position, heading)
-        width = config.image_width
-        lo = width // 3
-        clearance = depths[:, lo : width - lo].mean(axis=1) / config.max_range
-        progress = displacement[:, 0] / (config.base_speed * max(SPEED_FACTORS))
-        reward = clearance - 0.5 + 0.2 * progress
+        depths = cast_rays(
+            position, heading, self._ray_angles, config.max_range, half_widths, obstacles, radii
+        )
+        reward = depth_rewards(depths, displacement[:, 0], config)
         reward[crashed] = config.crash_penalty
         survived = (steps >= config.max_steps) | (position[:, 0] >= self._lengths[active])
         finished = crashed | survived
         self._done[active] = finished
-        self._observations[active] = self._observe_batch(active, position, depths)
+        self._observations[active] = camera_frames(position, depths, half_widths, config)
 
         rewards = np.zeros(self.lane_count)
         rewards[active] = reward
@@ -481,65 +553,6 @@ class DroneNavVecEnv:
             done=self._done.copy(),
             stepped=stepped,
             outcomes=outcomes,
-        )
-
-    def _ray_depths_batch(
-        self, lanes: np.ndarray, positions: np.ndarray, headings: np.ndarray
-    ) -> np.ndarray:
-        """Vectorized image of :meth:`DroneWorld.ray_depths` over ``lanes``."""
-        config = self.config
-        angles = self._ray_angles
-        directions = np.stack(
-            [
-                np.cos(headings[:, None] + angles[None, :]),
-                np.sin(headings[:, None] + angles[None, :]),
-            ],
-            axis=2,
-        )  # (lanes, rays, 2)
-        depths = np.full((positions.shape[0], angles.shape[0]), config.max_range)
-        dy = directions[:, :, 1]
-        y = positions[:, 1][:, None]
-        half_width = self._half_widths[lanes][:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_top = np.where(dy > 1e-12, (half_width - y) / dy, np.inf)
-            t_bottom = np.where(dy < -1e-12, (-half_width - y) / dy, np.inf)
-        wall_t = np.minimum(t_top, t_bottom)
-        depths = np.minimum(depths, np.clip(wall_t, 0.0, config.max_range))
-        if self._obstacle_max:
-            rel = self._obstacles[lanes] - positions[:, None, :]  # (lanes, obs, 2)
-            d = directions[:, :, None, :]  # (lanes, rays, 1, 2)
-            b = np.sum(d * rel[:, None, :, :], axis=3)  # (lanes, rays, obs)
-            c = (
-                np.sum(rel * rel, axis=2)[:, None, :]
-                - self._obstacle_radii[lanes][:, None, None] ** 2
-            )
-            disc = b * b - c
-            hit = disc >= 0.0
-            sqrt_disc = np.sqrt(np.where(hit, disc, 0.0))
-            t_obstacle = np.where(hit, b - sqrt_disc, np.inf)
-            t_obstacle = np.where(t_obstacle >= 0.0, t_obstacle, np.inf)
-            nearest = t_obstacle.min(axis=2)
-            depths = np.minimum(depths, np.clip(nearest, 0.0, config.max_range))
-        return depths
-
-    def _observe_batch(
-        self, lanes: np.ndarray, positions: np.ndarray, depths: np.ndarray
-    ) -> np.ndarray:
-        """Vectorized image of :meth:`DroneNavEnv.observe` over ``lanes``."""
-        config = self.config
-        normalized = depths / config.max_range  # (lanes, W)
-        vertical = np.linspace(1.0, 0.6, config.image_height).reshape(-1, 1)  # (H, 1)
-        depth_plane = vertical * normalized[:, None, :]
-        proximity_plane = vertical * (1.0 - normalized)[:, None, :]
-        lateral = (positions[:, 1] + self._half_widths[lanes]) / (
-            2 * self._half_widths[lanes]
-        )
-        lateral_plane = np.broadcast_to(
-            lateral[:, None, None],
-            (positions.shape[0], config.image_height, config.image_width),
-        )
-        return np.stack([depth_plane, proximity_plane, lateral_plane], axis=1).astype(
-            np.float64
         )
 
 

@@ -315,19 +315,14 @@ def _lookup_tables(layout: GridWorldLayout, observation_mode: str) -> Tuple[np.n
     return cells, observations
 
 
-#: Row/column deltas indexed by action, for vectorized candidate moves.
-_ACTION_DELTAS = np.asarray(ACTIONS, dtype=np.int64)
-
-
 class GridWorldVecEnv:
     """Lockstep batch of :class:`GridWorldEnv` lanes with masked termination.
 
-    The lanes' HELL-bordered cell grids and observation tables are stacked,
-    so a step is the serial lookup gathered over lanes; all arithmetic is
-    integer or exact small constants, so per-lane results are trivially
-    bitwise equal to :meth:`GridWorldEnv.step`.  Finished lanes freeze until
-    :meth:`reset_batch` revives them (evaluation runs attempts back to back
-    per lane this way).
+    Each lane steps its own environment with :meth:`GridWorldEnv.step`, so
+    its results are the serial ones by construction.  Finished lanes freeze
+    until :meth:`reset_batch` revives them (evaluation runs attempts back to
+    back per lane this way).  Building the batch neither resets nor steps a
+    lane.
     """
 
     action_count = len(ACTIONS)
@@ -347,17 +342,8 @@ class GridWorldVecEnv:
                 raise ValueError("all lanes must share the grid shape")
         self.envs = envs
         self.lane_count = len(envs)
-        self.max_steps = envs[0].max_steps
-        self.observation_mode = envs[0].observation_mode
-        self.observation_shape = envs[0].observation_shape
-        self._grids = np.stack([env._cells for env in envs])
-        self._tables = np.stack([env._observations for env in envs])
-        self._sources = np.array([env.layout.source for env in envs], dtype=np.int64)
-        self._goals = np.array([env.layout.goal for env in envs], dtype=np.int64)
-        self._positions = self._sources.copy()
-        self._steps = np.zeros(self.lane_count, dtype=np.int64)
         self._done = np.ones(self.lane_count, dtype=bool)
-        self._observations = np.zeros((self.lane_count,) + self.observation_shape)
+        self._observations = np.zeros((self.lane_count,) + envs[0].observation_shape)
 
     @property
     def done(self) -> np.ndarray:
@@ -370,26 +356,16 @@ class GridWorldVecEnv:
         return self._observations
 
     @property
-    def steps(self) -> np.ndarray:
-        """Copy of the per-lane step counters."""
-        return self._steps.copy()
-
-    @property
     def positions(self) -> np.ndarray:
-        """Copy of the per-lane (row, col) agent positions."""
-        return self._positions.copy()
+        """The per-lane (row, col) agent positions."""
+        return np.array([env.position for env in self.envs], dtype=np.int64)
 
     def reset_batch(self, lanes: Optional[np.ndarray] = None) -> np.ndarray:
         """Reset all lanes (or just ``lanes``) and return the observation stack."""
-        if lanes is None:
-            lanes = np.arange(self.lane_count)
-        else:
-            lanes = np.asarray(lanes, dtype=np.int64)
-        self._positions[lanes] = self._sources[lanes]
-        self._steps[lanes] = 0
-        self._done[lanes] = False
-        sources = self._sources[lanes]
-        self._observations[lanes] = self._tables[lanes, sources[:, 0], sources[:, 1]]
+        lanes = range(self.lane_count) if lanes is None else np.asarray(lanes, dtype=np.int64)
+        for lane in lanes:
+            self._observations[lane] = self.envs[lane].reset()
+            self._done[lane] = False
         return self._observations
 
     def step_batch(self, actions: np.ndarray) -> VecStepResult:
@@ -402,53 +378,16 @@ class GridWorldVecEnv:
         act = np.asarray(actions, dtype=np.int64)[active]
         if act.min() < 0 or act.max() >= self.action_count:
             raise ValueError(f"action outside the action space of size {self.action_count}")
-        previous = self._positions[active]
-        candidate = previous + _ACTION_DELTAS[act]
-        cell = self._grids[active, candidate[:, 0] + 1, candidate[:, 1] + 1]
-        steps = self._steps[active] + 1
-        crash = cell == _HELL
-        goal = cell == _GOAL
-        timeout = (steps >= self.max_steps) & ~crash & ~goal
-
-        goal_rows = self._goals[active, 0]
-        goal_cols = self._goals[active, 1]
-        closer = (
-            np.abs(candidate[:, 0] - goal_rows) + np.abs(candidate[:, 1] - goal_cols)
-        ) < (np.abs(previous[:, 0] - goal_rows) + np.abs(previous[:, 1] - goal_cols))
-        reward = np.where(
-            crash,
-            GridWorldEnv.REWARD_CRASH,
-            np.where(
-                goal,
-                GridWorldEnv.REWARD_GOAL,
-                np.where(closer, GridWorldEnv.REWARD_CLOSER, GridWorldEnv.REWARD_FARTHER),
-            ),
-        )
-
-        self._steps[active] = steps
-        moved = ~crash
-        self._positions[active[moved]] = candidate[moved]
-        finished = crash | goal | timeout
-        self._done[active] = finished
-        # Crashed lanes observe from where they stood; everyone else from the
-        # committed candidate cell — exactly the serial branch structure.
-        observe_at = np.where(crash[:, None], previous, candidate)
-        self._observations[active] = self._tables[active, observe_at[:, 0], observe_at[:, 1]]
-
         rewards = np.zeros(self.lane_count)
-        rewards[active] = reward
         stepped = np.zeros(self.lane_count, dtype=bool)
-        stepped[active] = True
         outcomes: List[Optional[str]] = [None] * self.lane_count
-        for row, lane in enumerate(active):
-            if crash[row]:
-                outcomes[lane] = "crash"
-            elif goal[row]:
-                outcomes[lane] = "goal"
-            elif timeout[row]:
-                outcomes[lane] = "timeout"
-            else:
-                outcomes[lane] = "move"
+        for lane, action in zip(active, act):
+            result = self.envs[lane].step(int(action))
+            self._observations[lane] = result.observation
+            rewards[lane] = result.reward
+            self._done[lane] = result.done
+            stepped[lane] = True
+            outcomes[lane] = result.info["outcome"]
         return VecStepResult(
             observations=self._observations,
             rewards=rewards,

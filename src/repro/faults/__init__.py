@@ -18,7 +18,7 @@ from repro.faults.models import (
 from repro.faults.ber import BitErrorRate, fault_count_for
 from repro.faults.locations import FaultLocation, FaultTarget, effective_class
 from repro.faults.injector import FaultInjector, InjectionRecord
-from repro.faults.spec import FaultSpec, InjectionMode, TransientScope
+from repro.faults.spec import FaultSpec
 from repro.faults.hooks import ActivationFaultHook, attach_activation_faults
 
 __all__ = [
@@ -35,8 +35,6 @@ __all__ = [
     "FaultInjector",
     "InjectionRecord",
     "FaultSpec",
-    "InjectionMode",
-    "TransientScope",
     "ActivationFaultHook",
     "attach_activation_faults",
 ]

@@ -152,19 +152,12 @@ class FaultInjector:
         model: Optional[Union[str, FaultModel]] = None,
         record: bool = True,
     ) -> np.ndarray:
-        """Corrupt a stack of tensors, one lane per injector, in one bit pass.
+        """Corrupt a stack of tensors, one lane per injector.
 
-        ``values`` has shape ``(lanes, ...)``; lane ``i`` is corrupted exactly
-        as ``injectors[i].corrupt_array(values[i], ...)`` would — same RNG
-        draws on each injector's own stream (in lane order), same history
-        records — but the bit flips of every faulted lane are applied through
-        a *single* stacked :meth:`FaultModel.apply` call on the concatenated
-        code words, with element indices offset by each lane's position.
-
-        Encoding and decoding stay per lane because storage contexts are per
-        tensor (the int8 affine scale in particular), which is what makes the
-        result bitwise identical to the serial loop.  Lanes with heterogeneous
-        datatypes or fault models fall back to that serial loop outright.
+        ``values`` has shape ``(lanes, ...)``; lane ``i`` is
+        ``injectors[i].corrupt_array(values[i], ...)``, called in lane order,
+        so each lane draws from its own injector's stream and records in its
+        own history.
         """
         values = np.asarray(values, dtype=np.float64)
         if values.ndim < 1 or values.shape[0] != len(injectors):
@@ -172,97 +165,17 @@ class FaultInjector:
                 f"values must stack one lane per injector, got shape {values.shape} "
                 f"for {len(injectors)} injectors"
             )
-        ber = bit_error_rate if isinstance(bit_error_rate, BitErrorRate) else BitErrorRate(
-            float(bit_error_rate)
+        return np.stack(
+            [
+                injector.corrupt_array(values[lane], bit_error_rate, model=model, record=record)
+                for lane, injector in enumerate(injectors)
+            ]
         )
-        models = [
-            resolve_fault_model(model) if model is not None else injector.model
-            for injector in injectors
-        ]
-        homogeneous = len({injector.datatype.name for injector in injectors}) <= 1 and len(
-            set(models)
-        ) <= 1
-        if not homogeneous:
-            return np.stack(
-                [
-                    injector.corrupt_array(values[lane], ber, model=model, record=record)
-                    for lane, injector in enumerate(injectors)
-                ]
-            )
-        # Phase 1 — per-lane draws in lane order, mirroring N serial calls.
-        faulted = []  # (lane, codes, context, element_indices, bit_positions)
-        outputs: List[Optional[np.ndarray]] = [None] * len(injectors)
-        for lane, injector in enumerate(injectors):
-            row = values[lane]
-            bit_width = injector.datatype.bit_width
-            codes, context = injector.datatype.encode(row)
-            total_bits = row.size * bit_width
-            fault_count = ber.fault_count(total_bits, injector._rng)
-            if fault_count == 0 or row.size == 0:
-                if record:
-                    injector.history.append(
-                        InjectionRecord(
-                            total_bits=total_bits,
-                            flipped_bits=0,
-                            bit_error_rate=ber.rate,
-                            target_elements=row.size,
-                            corrupted_elements=0,
-                            datatype=injector.datatype.name,
-                            model=models[lane].name,
-                        )
-                    )
-                outputs[lane] = row.copy()
-                continue
-            element_indices = injector._rng.integers(0, row.size, size=fault_count)
-            bit_positions = random_bit_positions(injector._rng, fault_count, bit_width)
-            faulted.append((lane, codes, context, element_indices, bit_positions))
-        # Phase 2 — one stacked flip application along the lane axis.  XOR /
-        # set events are element-local, so offsetting indices into the
-        # concatenated code array flips exactly the serial per-lane bits.
-        if faulted:
-            bit_width = injectors[faulted[0][0]].datatype.bit_width
-            flat_codes = [np.ascontiguousarray(codes).reshape(-1) for _, codes, *_ in faulted]
-            offsets = np.cumsum([0] + [flat.size for flat in flat_codes[:-1]])
-            stacked = models[faulted[0][0]].apply(
-                np.concatenate(flat_codes),
-                np.concatenate(
-                    [
-                        np.asarray(indices, dtype=np.int64) + offset
-                        for (_, _, _, indices, _), offset in zip(faulted, offsets)
-                    ]
-                ),
-                np.concatenate([positions for *_, positions in faulted]),
-                bit_width,
-            )
-            # Phase 3 — per-lane decode with each lane's own storage context.
-            for (lane, codes, context, element_indices, _), offset, flat in zip(
-                faulted, offsets, flat_codes
-            ):
-                injector = injectors[lane]
-                lane_codes = stacked[offset : offset + flat.size].reshape(
-                    np.asarray(codes).shape
-                )
-                outputs[lane] = injector.datatype.decode(lane_codes, context).reshape(
-                    values[lane].shape
-                )
-                if record:
-                    injector.history.append(
-                        InjectionRecord(
-                            total_bits=values[lane].size * injector.datatype.bit_width,
-                            flipped_bits=int(element_indices.size),
-                            bit_error_rate=ber.rate,
-                            target_elements=values[lane].size,
-                            corrupted_elements=int(np.unique(element_indices).size),
-                            datatype=injector.datatype.name,
-                            model=models[lane].name,
-                        )
-                    )
-        return np.stack(outputs)
 
     def total_injected_bits(self) -> int:
         """Total number of bits upset across all recorded injections."""
         return sum(record.flipped_bits for record in self.history)
 
 
-#: Module-level alias: the lane-batched corruption entry point.
+#: Module-level alias of :meth:`FaultInjector.corrupt_lanes`.
 corrupt_lanes = FaultInjector.corrupt_lanes

@@ -46,7 +46,7 @@ class TransientBitFlip(FaultModel):
     name = "transient"
 
     def apply(self, codes, element_indices, bit_positions, bit_width):
-        """XOR-flip the selected bits of ``codes`` (lane-batched, in one ufunc pass)."""
+        """XOR-flip the selected bits of ``codes`` (in one ufunc pass)."""
         return flip_bits(codes, element_indices, bit_positions, bit_width)
 
 

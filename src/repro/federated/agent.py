@@ -8,7 +8,6 @@ import numpy as np
 
 from repro.envs.base import Environment
 from repro.rl.base import Agent, EpisodeStats
-from repro.rl.rollout import evaluate_flight_distance, evaluate_success_rate
 
 
 class FederatedAgent:
@@ -43,15 +42,6 @@ class FederatedAgent:
     def receive_state(self, state: Dict[str, np.ndarray]) -> None:
         """Install parameters received from the server."""
         self.agent.load_state_dict(state)
-
-    # ------------------------------------------------------------- evaluation
-    def success_rate(self, attempts: int = 20) -> float:
-        """This agent's evaluation success rate on its own environment."""
-        return evaluate_success_rate(self.agent, self.env, attempts=attempts)
-
-    def flight_distance(self, attempts: int = 5) -> float:
-        """This agent's mean evaluation flight distance on its own environment."""
-        return evaluate_flight_distance(self.agent, self.env, attempts=attempts)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"FederatedAgent(index={self.index}, name={self.name!r})"

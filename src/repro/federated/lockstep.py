@@ -19,7 +19,7 @@ rejects activation-target fault callbacks (their hooks wrap the serial
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -29,11 +29,6 @@ from repro.federated.system import TrainingLog
 from repro.nn.batched import StackedPolicy
 from repro.rl.lockstep import build_vec_env, train_episodes_lockstep
 from repro.rl.rollout import evaluate_episodes_lockstep
-
-
-def _is_frl(system) -> bool:
-    """FRL systems have a communication schedule; single-agent baselines don't."""
-    return hasattr(system, "schedule")
 
 
 def _callback_lockstep_safe(callback: TrainingCallback) -> bool:
@@ -58,8 +53,7 @@ def lockstep_compatible(
     every callback must be a weights-target fault callback (or none).
     """
     try:
-        envs = [env for system in systems for env in _system_envs(system)]
-        build_vec_env(envs)
+        build_vec_env([env for system in systems for _, env in system.evaluation_pairs()])
         StackedPolicy([fed.agent.network for system in systems for fed in system.agents])
     except (TypeError, ValueError):
         return False
@@ -67,13 +61,6 @@ def lockstep_compatible(
         if not all(_callback_lockstep_safe(callback) for callback in callbacks):
             return False
     return True
-
-
-def _system_envs(system) -> List:
-    """Every environment a system touches during training or evaluation."""
-    if _is_frl(system):
-        return [fed.env for fed in system.agents]
-    return list(system.envs)
 
 
 def train_group_lockstep(
@@ -110,86 +97,54 @@ def train_group_lockstep(
         live = [i for i in range(len(systems)) if episode < episodes_per_system[i]]
         for i in live:
             wrapped[i].on_episode_start(systems[i], episode)
-        # Collect this episode's lanes: every FRL agent, plus each single-agent
-        # baseline on its rotated environment (the serial cursor semantics).
-        lane_wrappers, lane_envs, lane_systems = [], [], []
+        # This episode's lanes: each live system's episode agents, in order.
+        lane_wrappers, lane_systems = [], []
         for i in live:
-            system = systems[i]
-            if _is_frl(system):
-                for fed in system.agents:
-                    lane_wrappers.append(fed)
-                    lane_envs.append(fed.env)
-                    lane_systems.append(i)
-            else:
-                system.wrapper.env = system._next_env()
-                lane_wrappers.append(system.wrapper)
-                lane_envs.append(system.wrapper.env)
+            for fed in systems[i].episode_agents():
+                lane_wrappers.append(fed)
                 lane_systems.append(i)
         for fed in lane_wrappers:
             fed.agent.begin_episode(episode)
         policy.refresh()
-        vec_env = build_vec_env(lane_envs)
+        vec_env = build_vec_env([fed.env for fed in lane_wrappers])
         lanes = np.asarray([policy_lane[id(fed)] for fed in lane_wrappers], dtype=np.int64)
         stats = train_episodes_lockstep(
             [fed.agent for fed in lane_wrappers], vec_env, policy, policy_lanes=lanes
         )
-        # Serial-order bookkeeping: exactly what each system's own train()
-        # would have run after its episodes, system by system.
+        # Serial-order bookkeeping: what each system's own train() runs after
+        # its agents' episodes, system by system.
         for i in live:
-            system = systems[i]
-            callback = wrapped[i]
             rows = [k for k, owner in enumerate(lane_systems) if owner == i]
             for k in rows:
-                lane_wrappers[k].reward_history.append(stats[k].total_reward)
-                lane_wrappers[k].episode_stats.append(stats[k])
-            if _is_frl(system):
-                rewards = [stats[k].total_reward for k in rows]
-                for k in rows:
-                    callback.on_agent_episode_end(
-                        system, episode, lane_wrappers[k].index, stats[k]
-                    )
-                system.log.episode_rewards.append(rewards)
-                communicated = False
-                if system.schedule.should_communicate(episode) and system.agent_count > 1:
-                    system.communication_round(episode)
-                    communicated = True
-                callback.on_round_end(system, episode, communicated)
-            else:
-                (k,) = rows
-                system.log.episode_rewards.append([stats[k].total_reward])
-                callback.on_agent_episode_end(system, episode, 0, stats[k])
-                callback.on_round_end(system, episode, False)
+                fed = lane_wrappers[k]
+                fed.reward_history.append(stats[k].total_reward)
+                fed.episode_stats.append(stats[k])
+                wrapped[i].on_agent_episode_end(systems[i], episode, fed.index, stats[k])
+            systems[i].end_episode(episode, [stats[k].total_reward for k in rows], wrapped[i])
     for system, callback in zip(systems, wrapped):
         callback.on_training_end(system)
     return [system.log for system in systems]
 
 
-def average_flight_distance_group_lockstep(
-    systems: Sequence, attempts: int = 3, policy: Optional[StackedPolicy] = None
-) -> List[float]:
+def average_flight_distance_group_lockstep(systems: Sequence, attempts: int = 3) -> List[float]:
     """Per-system mean safe flight distance, evaluated in lockstep.
 
     Value ``i`` is bitwise identical to
-    ``systems[i].average_flight_distance(attempts=attempts)``: drone
-    evaluation is greedy and draw-free, so lanes may freely share streams.
+    ``systems[i].average_flight_distance(attempts=attempts)``: one lane per
+    pair of ``systems[i].evaluation_pairs()``.  Drone evaluation is greedy
+    and draw-free, so lanes may freely share streams.
     """
     lane_agents, lane_envs, lane_systems = [], [], []
     for i, system in enumerate(systems):
-        if _is_frl(system):
-            for fed in system.agents:
-                lane_agents.append(fed.agent)
-                lane_envs.append(fed.env)
-                lane_systems.append(i)
-        else:
-            for env in system.envs:
-                lane_agents.append(system.agent)
-                lane_envs.append(env)
-                lane_systems.append(i)
-    vec_env = build_vec_env(lane_envs)
-    if policy is None:
-        policy = StackedPolicy([agent.network for agent in lane_agents])
+        for agent, env in system.evaluation_pairs():
+            lane_agents.append(agent)
+            lane_envs.append(env)
+            lane_systems.append(i)
     per_lane = evaluate_episodes_lockstep(
-        lane_agents, vec_env, policy, attempts=attempts, epsilon=0.0
+        lane_agents,
+        build_vec_env(lane_envs),
+        StackedPolicy([agent.network for agent in lane_agents]),
+        attempts=attempts,
     )
     means = [
         float(np.mean([stats.flight_distance for stats in lane])) for lane in per_lane

@@ -14,15 +14,14 @@ StateDict = Dict[str, np.ndarray]
 class FederatedServer:
     """Aggregates agent policies with a smoothing average.
 
-    The server keeps the latest uploads, the consensus (plain average) policy
-    and a running count of communication rounds, which drives the decay of
-    the smoothing weight toward ``1/n``.
+    The server keeps the consensus (plain average) policy and a running count
+    of communication rounds, which drives the decay of the smoothing weight
+    toward ``1/n``.
     """
 
     def __init__(self, alpha_schedule: Optional[AlphaSchedule] = None) -> None:
         self.alpha_schedule = alpha_schedule or AlphaSchedule()
         self.round_index = 0
-        self._last_uploads: Optional[List[StateDict]] = None
         self._consensus: Optional[StateDict] = None
 
     @property
@@ -41,13 +40,6 @@ class FederatedServer:
             raise ValueError("aggregate requires at least one upload")
         alpha = self.alpha_schedule.alpha(self.round_index, len(uploads))
         broadcasts = smoothing_average(uploads, alpha)
-        self._last_uploads = uploads
         self._consensus = average_states(uploads)
         self.round_index += 1
         return broadcasts
-
-    def reset(self) -> None:
-        """Forget all rounds, uploads and consensus state (fresh training run)."""
-        self.round_index = 0
-        self._last_uploads = None
-        self._consensus = None

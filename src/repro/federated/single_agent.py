@@ -2,48 +2,38 @@
 
 The paper contrasts the FRL system against a single-agent system trained only
 on the states its own environment exposes; the comparison underpins the
-multi-agent-resilience observation.  The baseline reuses the same agent,
-environment and callback machinery, but parameters never leave the agent.
+multi-agent-resilience observation.  The baseline is a one-agent
+:class:`FRLSystem`: one agent never communicates, so its parameters never
+leave the agent.  It rotates through its environments, one per episode, and
+evaluation averages the agent over every one of them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.envs.base import Environment
 from repro.federated.agent import FederatedAgent
-from repro.federated.callbacks import CallbackList, TrainingCallback
-from repro.federated.system import TrainingLog
+from repro.federated.callbacks import TrainingCallback
+from repro.federated.system import FRLSystem, TrainingLog
 from repro.rl.base import Agent
 
 StateDict = Dict[str, np.ndarray]
 
 
-class SingleAgentSystem:
-    """A single learning agent evaluated across one or more environments."""
+class SingleAgentSystem(FRLSystem):
+    """A single learning agent trained and evaluated across one or more environments."""
 
     def __init__(self, agent: Agent, envs: Sequence[Environment]) -> None:
         if not envs:
             raise ValueError("single-agent system needs at least one environment")
         self.agent = agent
         self.envs: List[Environment] = list(envs)
-        # Mirror the FRL wrapper so callbacks and mitigation treat both alike.
         self.wrapper = FederatedAgent(index=0, agent=agent, env=self.envs[0])
-        self.agents = [self.wrapper]
-        self.log = TrainingLog()
         self._env_cursor = 0
-
-    @property
-    def agent_count(self) -> int:
-        """Always 1 — the single-agent baseline of the paper's comparisons."""
-        return 1
-
-    def _next_env(self) -> Environment:
-        env = self.envs[self._env_cursor % len(self.envs)]
-        self._env_cursor += 1
-        return env
+        super().__init__([self.wrapper])
 
     def train(
         self,
@@ -51,41 +41,25 @@ class SingleAgentSystem:
         callbacks: Optional[Sequence[TrainingCallback]] = None,
         start_episode: int = 0,
     ) -> TrainingLog:
-        """Train the single agent, cycling through its environments."""
-        if episodes < 0:
-            raise ValueError(f"episodes must be non-negative, got {episodes}")
-        callback = callbacks if isinstance(callbacks, CallbackList) else CallbackList(callbacks or [])
-        callback.on_training_start(self)
-        for offset in range(episodes):
-            episode = start_episode + offset
-            callback.on_episode_start(self, episode)
-            self.wrapper.env = self._next_env()
-            stats = self.wrapper.run_training_episode(episode)
-            self.log.episode_rewards.append([stats.total_reward])
-            callback.on_agent_episode_end(self, episode, 0, stats)
-            callback.on_round_end(self, episode, False)
-        callback.on_training_end(self)
-        return self.log
+        """Train the single agent, cycling through its environments.
 
-    # -------------------------------------------------------------- evaluation
-    def average_success_rate(self, attempts: int = 20) -> float:
-        """The agent's mean success rate across every configured environment."""
-        from repro.rl.rollout import evaluate_success_rate
+        Defined here, not only inherited, because the benchmark's tracer
+        (``perfbench/layers.py``) wraps ``train`` in this class's namespace.
+        """
+        return super().train(episodes, callbacks=callbacks, start_episode=start_episode)
 
-        rates = [evaluate_success_rate(self.agent, env, attempts=attempts) for env in self.envs]
-        return float(np.mean(rates))
+    def episode_agents(self) -> List[FederatedAgent]:
+        """The one agent, moved onto the next environment of the rotation."""
+        self.wrapper.env = self.envs[self._env_cursor % len(self.envs)]
+        self._env_cursor += 1
+        return self.agents
 
-    def average_flight_distance(self, attempts: int = 3) -> float:
-        """The agent's mean flight distance across every configured environment."""
-        from repro.rl.rollout import evaluate_flight_distance
-
-        distances = [
-            evaluate_flight_distance(self.agent, env, attempts=attempts) for env in self.envs
-        ]
-        return float(np.mean(distances))
+    def evaluation_pairs(self) -> List[Tuple[Agent, Environment]]:
+        """The agent on every configured environment."""
+        return [(self.agent, env) for env in self.envs]
 
     def consensus_state(self) -> StateDict:
-        """The agent's own state dict (mirrors :meth:`FRLSystem.consensus_state`)."""
+        """The agent's own state dict (there is no consensus to share)."""
         return self.agent.state_dict()
 
     def corrupt_agent(self, agent_index: int, corrupted_state: StateDict) -> None:

@@ -12,14 +12,17 @@ mitigation plug in through the episode hooks of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.envs.base import Environment
 from repro.federated.agent import FederatedAgent
 from repro.federated.callbacks import CallbackList, TrainingCallback
 from repro.federated.schedule import CommunicationSchedule
 from repro.federated.server import FederatedServer
+from repro.rl.base import Agent
+from repro.rl.rollout import evaluate_flight_distance, evaluate_success_rate
 
 StateDict = Dict[str, np.ndarray]
 
@@ -89,18 +92,25 @@ class FRLSystem:
             episode = start_episode + offset
             callback.on_episode_start(self, episode)
             rewards: List[float] = []
-            for agent in self.agents:
+            for agent in self.episode_agents():
                 stats = agent.run_training_episode(episode)
                 rewards.append(stats.total_reward)
                 callback.on_agent_episode_end(self, episode, agent.index, stats)
-            self.log.episode_rewards.append(rewards)
-            communicated = False
-            if self.schedule.should_communicate(episode) and self.agent_count > 1:
-                self.communication_round(episode)
-                communicated = True
-            callback.on_round_end(self, episode, communicated)
+            self.end_episode(episode, rewards, callback)
         callback.on_training_end(self)
         return self.log
+
+    def episode_agents(self) -> List[FederatedAgent]:
+        """The agents that run a local episode this episode, in order: all of them."""
+        return self.agents
+
+    def end_episode(self, episode: int, rewards: List[float], callback: TrainingCallback) -> None:
+        """Log the episode's ``rewards``, run a scheduled round, fire ``on_round_end``."""
+        self.log.episode_rewards.append(rewards)
+        communicated = self.schedule.should_communicate(episode) and self.agent_count > 1
+        if communicated:
+            self.communication_round(episode)
+        callback.on_round_end(self, episode, communicated)
 
     def communication_round(self, episode: int) -> None:
         """One upload → aggregate → broadcast round."""
@@ -110,13 +120,31 @@ class FRLSystem:
         self.log.communication_episodes.append(episode)
 
     # -------------------------------------------------------------- evaluation
+    def evaluation_pairs(self) -> List[Tuple[Agent, Environment]]:
+        """The (agent, environment) pairs evaluation averages over: each agent on its own."""
+        return [(fed.agent, fed.env) for fed in self.agents]
+
     def average_success_rate(self, attempts: int = 20) -> float:
-        """Mean GridWorld success rate across agents (paper's SR metric)."""
-        return float(np.mean([agent.success_rate(attempts=attempts) for agent in self.agents]))
+        """Mean GridWorld success rate over :meth:`evaluation_pairs` (paper's SR metric)."""
+        return float(
+            np.mean(
+                [
+                    evaluate_success_rate(agent, env, attempts=attempts)
+                    for agent, env in self.evaluation_pairs()
+                ]
+            )
+        )
 
     def average_flight_distance(self, attempts: int = 3) -> float:
-        """Mean DroneNav safe flight distance across agents (metres)."""
-        return float(np.mean([agent.flight_distance(attempts=attempts) for agent in self.agents]))
+        """Mean DroneNav safe flight distance over :meth:`evaluation_pairs` (metres)."""
+        return float(
+            np.mean(
+                [
+                    evaluate_flight_distance(agent, env, attempts=attempts)
+                    for agent, env in self.evaluation_pairs()
+                ]
+            )
+        )
 
     def consensus_state(self) -> StateDict:
         """The server's consensus policy (averaging current agents if needed)."""

@@ -19,12 +19,7 @@ comparison (paper Fig. 9).
 from repro.mitigation.reward_monitor import DetectionEvent, RewardDropDetector
 from repro.mitigation.checkpointing import ServerCheckpointCallback, CheckpointStore
 from repro.mitigation.anomaly import RangeAnomalyDetector, WeightRange
-from repro.mitigation.redundancy import (
-    RedundancyScheme,
-    dmr_detect,
-    tmr_vote,
-    PROTECTION_SCHEMES,
-)
+from repro.mitigation.redundancy import RedundancyScheme, PROTECTION_SCHEMES
 
 __all__ = [
     "RewardDropDetector",
@@ -34,7 +29,5 @@ __all__ = [
     "RangeAnomalyDetector",
     "WeightRange",
     "RedundancyScheme",
-    "dmr_detect",
-    "tmr_vote",
     "PROTECTION_SCHEMES",
 ]

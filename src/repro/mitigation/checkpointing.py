@@ -107,8 +107,7 @@ class ServerCheckpointCallback(TrainingCallback):
                 self.detector.reset_agent(agent_index)
         else:
             # Server fault: roll the server back and re-broadcast to everyone.
-            if hasattr(system, "server"):
-                system.server.set_consensus(checkpoint)
+            system.server.set_consensus(checkpoint)
             for agent_index in range(system.agent_count):
                 system.corrupt_agent(agent_index, checkpoint)
                 self.detector.reset_agent(agent_index)

@@ -5,17 +5,14 @@ compares against.  Functionally, DMR detects a mismatch between two replicas
 (and must fall back to re-execution or a safe state), while TMR corrects
 single-replica corruption by majority voting.  Their real cost in a drone is
 the extra compute hardware: power and weight that shrink the achievable safe
-flight distance (paper Fig. 9), modelled in :mod:`repro.droneperf`.
+flight distance (paper Fig. 9), modelled in :mod:`repro.droneperf` from the
+cost profiles below.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence
-
-import numpy as np
-
-StateDict = Dict[str, np.ndarray]
+from typing import Dict
 
 
 @dataclass(frozen=True)
@@ -48,42 +45,3 @@ PROTECTION_SCHEMES: Dict[str, RedundancyScheme] = {
     "tmr": RedundancyScheme("tmr", compute_replicas=3, runtime_overhead=0.0,
                             detects=True, corrects=True),
 }
-
-
-def dmr_detect(primary: np.ndarray, replica: np.ndarray, tolerance: float = 0.0) -> bool:
-    """True if the two replicas disagree anywhere beyond ``tolerance``."""
-    primary = np.asarray(primary, dtype=np.float64)
-    replica = np.asarray(replica, dtype=np.float64)
-    if primary.shape != replica.shape:
-        raise ValueError("replicas must have identical shapes")
-    return bool((np.abs(primary - replica) > tolerance).any())
-
-
-def tmr_vote(replicas: Sequence[np.ndarray]) -> np.ndarray:
-    """Element-wise majority vote over three replicas.
-
-    For each element the two closest replica values form the majority and
-    their midpoint is returned; a corrupted outlier replica is therefore
-    out-voted, which is how TMR masks single-replica faults.
-    """
-    if len(replicas) != 3:
-        raise ValueError(f"TMR requires exactly 3 replicas, got {len(replicas)}")
-    a, b, c = (np.asarray(r, dtype=np.float64) for r in replicas)
-    if not (a.shape == b.shape == c.shape):
-        raise ValueError("replicas must have identical shapes")
-    ab = np.abs(a - b)
-    ac = np.abs(a - c)
-    bc = np.abs(b - c)
-    result = np.where(ab <= np.minimum(ac, bc), (a + b) / 2.0,
-                      np.where(ac <= bc, (a + c) / 2.0, (b + c) / 2.0))
-    return result
-
-
-def tmr_vote_state_dict(replicas: Sequence[StateDict]) -> StateDict:
-    """Majority vote applied layer by layer to three policy replicas."""
-    if len(replicas) != 3:
-        raise ValueError(f"TMR requires exactly 3 replicas, got {len(replicas)}")
-    names = set(replicas[0])
-    if any(set(replica) != names for replica in replicas[1:]):
-        raise KeyError("replica state dicts must share the same layer names")
-    return {name: tmr_vote([replica[name] for replica in replicas]) for name in names}

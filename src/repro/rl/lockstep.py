@@ -8,8 +8,9 @@ serial path rests on three facts:
 * every lane owns its own ``np.random.Generator`` (per-cell ``SeedSequence``
   streams are independent), and the per-lane draw *order on that stream* is
   unchanged — forward passes draw nothing, so batching them is invisible;
-* the vector environments compute each lane's transition with the exact
-  serial op sequence on gathered rows (see ``envs/*.py``);
+* the vector environments compute each lane's transition with the serial
+  code: ``DroneNavVecEnv`` runs the drone row kernels on its live lanes'
+  rows, ``GridWorldVecEnv`` calls each lane's own ``GridWorldEnv.step``;
 * :class:`~repro.nn.batched.StackedPolicy` reproduces each network's forward
   bitwise (see ``nn/batched.py`` for the BLAS-layout argument).
 

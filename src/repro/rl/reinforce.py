@@ -31,14 +31,11 @@ class ReinforceConfig:
     learning_rate: float = 1e-3
     discount: float = 0.98
     entropy_bonus: float = 1e-3
-    exploration_temperature: float = 1.0
     greedy_epsilon: float = 0.02
 
     def __post_init__(self) -> None:
         if not 0.0 < self.discount <= 1.0:
             raise ValueError(f"discount must be in (0, 1], got {self.discount}")
-        if self.exploration_temperature <= 0:
-            raise ValueError("exploration_temperature must be positive")
         if not 0.0 <= self.greedy_epsilon <= 1.0:
             raise ValueError("greedy_epsilon must be in [0, 1]")
 

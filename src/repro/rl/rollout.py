@@ -19,7 +19,7 @@ evaluate without touching the agent's stream.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from repro.envs.base import Environment
 from repro.envs.gridworld import GridWorldEnv
 from repro.nn.batched import StackedPolicy
 from repro.rl.base import Agent, EpisodeStats, outcome_to_stats
+from repro.rl.lockstep import _lane_info
 from repro.rl.qlearning import QLearningAgent
 from repro.utils.rng import as_rng
 
@@ -126,39 +127,26 @@ def evaluate_episodes_lockstep(
     agents: Sequence[Agent],
     vec_env,
     policy: StackedPolicy,
-    policy_lanes: Optional[np.ndarray] = None,
     attempts: int = 1,
-    epsilon: float = 0.0,
-    rngs: Optional[Sequence] = None,
 ) -> List[List[EpisodeStats]]:
     """Run ``attempts`` greedy episodes per lane with all lanes in lockstep.
 
     Lane ``i`` of ``vec_env`` is driven by ``agents[i]`` using the stacked
-    network at ``policy_lanes[i]``; its attempts run *sequentially* (the lane
-    resets and continues when an episode ends) so the per-lane transcript is
-    bitwise identical to ``attempts`` serial :func:`greedy_episode` calls.
+    network at lane ``i`` of ``policy``; its attempts run *sequentially* (the
+    lane resets and continues when an episode ends) so the per-lane
+    transcript is bitwise identical to ``attempts`` serial
+    :func:`greedy_episode` calls without residual ε.
 
-    ``rngs[i]`` supplies lane ``i``'s residual-exploration stream (the agent's
-    own stream when omitted, as in the serial helpers).  When ``epsilon`` (or
-    an agent's ``greedy_epsilon``) is non-zero, identity requires each lane to
-    draw from its *own* stream — lanes sharing one generator would interleave
-    draws differently than back-to-back serial evaluation.  The drone campaign
-    path evaluates with ``epsilon=0`` and ``greedy_epsilon=0``, which draws
-    nothing and is identical regardless.
+    An agent's own greedy-ε (``greedy_action_from``) draws from its own
+    stream, so identity requires lanes with a non-zero greedy-ε not to share
+    an agent.  The drone campaign path evaluates with ``greedy_epsilon=0``,
+    which draws nothing and is identical regardless.
     """
     if attempts <= 0:
         raise ValueError(f"attempts must be positive, got {attempts}")
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
     lane_count = vec_env.lane_count
     if len(agents) != lane_count:
         raise ValueError(f"need {lane_count} agents, got {len(agents)}")
-    if policy_lanes is None:
-        policy_lanes = np.arange(lane_count, dtype=np.int64)
-    else:
-        policy_lanes = np.asarray(policy_lanes, dtype=np.int64)
-    if rngs is None:
-        rngs = [as_rng(getattr(agent, "rng", None)) for agent in agents]
     remaining = np.full(lane_count, attempts, dtype=np.int64)
     per_lane: List[List[EpisodeStats]] = [[] for _ in range(lane_count)]
     totals = np.zeros(lane_count, dtype=np.float64)
@@ -168,29 +156,25 @@ def evaluate_episodes_lockstep(
         active = np.flatnonzero(~vec_env.done)
         if active.size == 0:
             break
-        probabilities = policy.forward(current[active], lanes=policy_lanes[active])
+        probabilities = policy.forward(current[active], lanes=active)
         actions = np.zeros(lane_count, dtype=np.int64)
         for row, lane in enumerate(active):
-            rng = rngs[lane]
-            if epsilon > 0.0 and rng.random() < epsilon:
-                actions[lane] = int(rng.integers(0, vec_env.action_count))
-            else:
-                # greedy_action_from may consume the lane's stream (residual
-                # greedy-ε); the batched forward above consumed none, so the
-                # per-stream draw order matches serial exactly.
-                actions[lane] = agents[lane].greedy_action_from(probabilities[row])
+            # greedy_action_from may consume the lane's stream (residual
+            # greedy-ε); the batched forward above consumed none, so the
+            # per-stream draw order matches serial exactly.
+            actions[lane] = agents[lane].greedy_action_from(probabilities[row])
         result = vec_env.step_batch(actions)
         finished: List[int] = []
         for lane in active:
             totals[lane] += result.rewards[lane]
             steps[lane] += 1
             if result.done[lane]:
-                info = {"outcome": result.outcomes[lane]}
-                distances = getattr(vec_env, "flight_distances", None)
-                if distances is not None:
-                    info["flight_distance"] = float(distances[lane])
                 per_lane[lane].append(
-                    outcome_to_stats(float(totals[lane]), int(steps[lane]), info)
+                    outcome_to_stats(
+                        float(totals[lane]),
+                        int(steps[lane]),
+                        _lane_info(vec_env, lane, result.outcomes[lane]),
+                    )
                 )
                 totals[lane] = 0.0
                 steps[lane] = 0

@@ -1,9 +1,8 @@
-"""``corrupt_lanes``: one stacked bit pass, bitwise equal to N serial calls.
+"""``corrupt_lanes``: one lane per injector, bitwise equal to N serial calls.
 
-The lane-batched entry point must reproduce, for every lane, exactly what
+The lane entry point must reproduce, for every lane, exactly what
 ``injectors[i].corrupt_array(values[i], ...)`` would have produced — same RNG
-draws on each injector's own stream, same history records, same bytes — while
-applying all lanes' flips through a single ``FaultModel.apply`` call.
+draws on each injector's own stream, same history records, same bytes.
 """
 
 import numpy as np

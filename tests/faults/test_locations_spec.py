@@ -7,8 +7,6 @@ from repro.faults import (
     FaultLocation,
     FaultSpec,
     FaultTarget,
-    InjectionMode,
-    TransientScope,
     effective_class,
 )
 
@@ -61,12 +59,10 @@ class TestFaultSpec:
 
     def test_string_coercion(self):
         spec = FaultSpec(location="agent", target="activations", bit_error_rate=0.01,
-                         model="stuck-at-1", mode="static", scope="single_step")
+                         model="stuck-at-1")
         assert spec.location == FaultLocation.AGENT
         assert spec.target == FaultTarget.ACTIVATIONS
         assert isinstance(spec.bit_error_rate, BitErrorRate)
-        assert spec.mode == InjectionMode.STATIC
-        assert spec.scope == TransientScope.SINGLE_STEP
         assert spec.is_enabled
 
     def test_analysis_class(self):

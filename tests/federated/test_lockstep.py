@@ -8,7 +8,6 @@ the campaign runner route whole cell groups through the vectorized path
 without perturbing any published number.
 """
 
-import numpy as np
 import pytest
 
 from repro.core.fault_callbacks import make_training_fault
@@ -55,9 +54,7 @@ def _mixed_group(scale, pretrained):
 
 
 def _reward_histories(system):
-    if hasattr(system, "schedule"):
-        return [list(fed.reward_history) for fed in system.agents]
-    return [list(system.wrapper.reward_history)]
+    return [list(fed.reward_history) for fed in system.agents]
 
 
 class TestGroupTrainingIdentity:

@@ -44,12 +44,6 @@ class TestFederatedServer:
         with pytest.raises(ValueError):
             FederatedServer().aggregate([])
 
-    def test_reset(self):
-        server = FederatedServer()
-        server.aggregate(make_states(2))
-        server.reset()
-        assert server.consensus is None and server.round_index == 0
-
 
 class TestCommunicationSchedule:
     def test_every_episode_by_default(self):

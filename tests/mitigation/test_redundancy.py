@@ -1,10 +1,9 @@
-"""Tests for DMR/TMR redundancy baselines."""
+"""Tests for the DMR/TMR redundancy cost profiles."""
 
-import numpy as np
 import pytest
 
-from repro.mitigation import PROTECTION_SCHEMES, dmr_detect, tmr_vote
-from repro.mitigation.redundancy import RedundancyScheme, tmr_vote_state_dict
+from repro.mitigation import PROTECTION_SCHEMES
+from repro.mitigation.redundancy import RedundancyScheme
 
 
 class TestSchemes:
@@ -22,50 +21,3 @@ class TestSchemes:
         with pytest.raises(ValueError):
             RedundancyScheme("bad", compute_replicas=0, runtime_overhead=0.0,
                              detects=False, corrects=False)
-
-
-class TestDMR:
-    def test_detects_mismatch(self):
-        assert dmr_detect(np.zeros(4), np.array([0.0, 0.0, 1.0, 0.0]))
-
-    def test_no_false_positive(self):
-        values = np.random.default_rng(0).normal(size=16)
-        assert not dmr_detect(values, values.copy())
-
-    def test_tolerance(self):
-        assert not dmr_detect(np.zeros(4), np.full(4, 1e-9), tolerance=1e-6)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            dmr_detect(np.zeros(2), np.zeros(3))
-
-
-class TestTMR:
-    def test_masks_single_corrupted_replica(self):
-        clean = np.random.default_rng(0).normal(size=32)
-        corrupted = clean.copy()
-        corrupted[5] = 1000.0
-        voted = tmr_vote([clean, corrupted, clean.copy()])
-        np.testing.assert_allclose(voted, clean)
-
-    def test_all_agree(self):
-        values = np.arange(5.0)
-        np.testing.assert_allclose(tmr_vote([values, values, values]), values)
-
-    def test_requires_three_replicas(self):
-        with pytest.raises(ValueError):
-            tmr_vote([np.zeros(2), np.zeros(2)])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            tmr_vote([np.zeros(2), np.zeros(2), np.zeros(3)])
-
-    def test_state_dict_voting(self):
-        clean = {"w": np.ones(4), "b": np.zeros(2)}
-        corrupted = {"w": np.array([1.0, 50.0, 1.0, 1.0]), "b": np.zeros(2)}
-        voted = tmr_vote_state_dict([clean, corrupted, {k: v.copy() for k, v in clean.items()}])
-        np.testing.assert_allclose(voted["w"], clean["w"])
-
-    def test_state_dict_key_mismatch(self):
-        with pytest.raises(KeyError):
-            tmr_vote_state_dict([{"w": np.zeros(1)}, {"w": np.zeros(1)}, {"v": np.zeros(1)}])

@@ -75,8 +75,6 @@ class TestReinforceAgent:
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             ReinforceConfig(discount=0.0)
-        with pytest.raises(ValueError):
-            ReinforceConfig(exploration_temperature=0.0)
 
 
 class TestExpertPilot:
