@@ -448,21 +448,6 @@ class DroneNavVecEnv:
         """Copy of the per-lane flight distances (the paper's metric)."""
         return self._distances.copy()
 
-    @property
-    def steps(self) -> np.ndarray:
-        """Copy of the per-lane step counters."""
-        return self._steps.copy()
-
-    @property
-    def positions(self) -> np.ndarray:
-        """Copy of the per-lane drone positions."""
-        return self._positions.copy()
-
-    @property
-    def headings(self) -> np.ndarray:
-        """Copy of the per-lane drone headings."""
-        return self._headings.copy()
-
     def reset_batch(self, lanes: Optional[np.ndarray] = None) -> np.ndarray:
         """Reset all lanes (or just ``lanes``) and return the observation stack."""
         if lanes is None:

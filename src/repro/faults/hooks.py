@@ -48,9 +48,9 @@ class ActivationFaultHook(Module):
             self.injection_count += 1
         return output
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray, input_grad: bool = True) -> Optional[np.ndarray]:
         """Delegate the backward pass to the wrapped layer unchanged."""
-        return self.wrapped.backward(grad_output)
+        return self.wrapped.backward(grad_output, input_grad)
 
     def parameters(self):
         """The wrapped layer's parameters (the hook adds none of its own)."""

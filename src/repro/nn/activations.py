@@ -21,9 +21,11 @@ class ReLU(Module):
         self._cached_mask = inputs > 0
         return inputs * self._cached_mask
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray, input_grad: bool = True) -> Optional[np.ndarray]:
         if self._cached_mask is None:
             raise RuntimeError("backward called before forward")
+        if not input_grad:
+            return None
         return np.asarray(grad_output, dtype=np.float64) * self._cached_mask
 
 
@@ -47,9 +49,11 @@ class Softmax(Module):
         self._cached_output = exps / exps.sum(axis=1, keepdims=True)
         return self._cached_output
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray, input_grad: bool = True) -> Optional[np.ndarray]:
         if self._cached_output is None:
             raise RuntimeError("backward called before forward")
+        if not input_grad:
+            return None
         grad_output = np.asarray(grad_output, dtype=np.float64)
         if grad_output.ndim == 1:
             grad_output = grad_output.reshape(1, -1)

@@ -12,16 +12,18 @@ the serial op sequence):
 
 * ``Conv2d`` — :func:`~repro.nn.conv.unfold_patches` copies a strided window
   view of the whole lane stack into one C-contiguous buffer, so lane *i*'s
-  block holds the serial batch-of-one buffer's bytes with its strides.  The
-  per-lane GEMM ``columns @ W.T`` then runs as a 2-D matrix product on views
-  of that block — the *same* BLAS call on the *same* operand values and
-  strides as the serial layer.  (A single batched ``np.matmul`` is NOT used:
-  numpy's 3-D matmul may copy operands and pick a different GEMM kernel than
-  the 2-D transposed-operand path, changing the floating-point reduction
-  order for some shapes.)
-* ``Linear`` — same per-lane 2-D GEMM on ``(1, F) @ (F, H)`` row views.
-  Lanes are never folded into the GEMM ``M`` dimension, because that changes
-  the BLAS kernel's blocking (and therefore the reduction order).
+  block holds the serial batch-of-one buffer's bytes with its strides.  One
+  ``np.matmul`` of ``(lanes, out_h * out_w, features)`` views of that buffer
+  by ``(lanes, features, out)`` views of the weight stack runs every lane's
+  product.  numpy's matmul loops over the stack and hands each lane's 2-D
+  operands to BLAS as they are: the same ``gemm`` call, with the same
+  transpose flags and leading dimensions, as the serial layer's
+  ``columns @ W.T``.
+* ``Linear`` — one ``np.matmul`` of ``(lanes, 1, F)`` by ``(lanes, F, H)``,
+  which makes each lane's single-row ``gemv`` call of a serial ``(1, F) @
+  (F, H)`` forward.  Lanes are never folded into the GEMM ``M`` dimension,
+  because that changes the BLAS kernel's blocking (and therefore the
+  reduction order).
 * ``ReLU`` / ``Softmax`` — elementwise or row-wise along the last contiguous
   axis, where numpy's reductions are shape-independent.
 * ``MaxPool2d`` — the serial layer's :func:`~repro.nn.conv._window_max` over
@@ -180,13 +182,10 @@ class StackedPolicy:
             if isinstance(module, Conv2d):
                 x = self._conv_forward(module, x, weight, bias)
             elif isinstance(module, Linear):
-                out = np.empty((x.shape[0], module.out_features))
-                for row in range(x.shape[0]):
-                    # Exact serial GEMM: (1, F) @ (F, H) on this lane's weights.
-                    out[row] = (x[row : row + 1] @ weight[row])[0]
+                # Each lane's serial (1, F) @ (F, H) product on its own weights.
+                x = np.matmul(x[:, None, :], weight)[:, 0]
                 if bias is not None:
-                    out = out + bias
-                x = out
+                    x = x + bias
             elif isinstance(module, MaxPool2d):
                 x = self._pool_forward(module, x)
             elif isinstance(module, ReLU):
@@ -205,26 +204,20 @@ class StackedPolicy:
     def _conv_forward(
         module: Conv2d, x: np.ndarray, weight: np.ndarray, bias: Optional[np.ndarray]
     ) -> np.ndarray:
-        """Per-lane conv: one stacked unfold, then each lane's serial GEMM."""
+        """Stacked conv: one unfold, then one matmul making every lane's serial GEMM."""
         kernel = module.kernel_size
         # One strided copy unfolds every lane at once.
         columns = unfold_patches(x, kernel, kernel, module.stride, module.padding)
         lanes, channels, _, _, out_h, out_w = columns.shape
-        features = channels * kernel * kernel
-        out = np.empty((lanes, out_h * out_w, module.out_channels))
-        for lane in range(lanes):
-            # ``columns[lane : lane + 1]`` has the same strides as the serial
-            # batch-of-one im2col buffer, so this transpose/reshape yields a
-            # byte-identical *memory layout*, not just identical values.  The
-            # layout matters: BLAS picks its GEMM path (and therefore the
-            # floating-point reduction order) from the operand strides.
-            cols = columns[lane : lane + 1].transpose(0, 4, 5, 1, 2, 3).reshape(
-                out_h * out_w, features
-            )
-            product = cols @ weight[lane].T
-            if bias is not None:
-                product = product + bias[lane]
-            out[lane] = product
+        # A view: lane i's (out_h * out_w, features) block has the serial
+        # batch-of-one im2col strides, (8, out_h * out_w * 8), so BLAS gets the
+        # serial layout and so the serial reduction order.
+        patches = columns.transpose(0, 4, 5, 1, 2, 3).reshape(
+            lanes, out_h * out_w, channels * kernel * kernel
+        )
+        out = np.matmul(patches, weight.transpose(0, 2, 1))
+        if bias is not None:
+            out += bias[:, None, :]
         return out.reshape(lanes, out_h, out_w, module.out_channels).transpose(0, 3, 1, 2)
 
     @staticmethod

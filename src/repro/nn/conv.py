@@ -196,7 +196,7 @@ class Conv2d(Module):
         batch = inputs.shape[0]
         return output.reshape(batch, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray, input_grad: bool = True) -> Optional[np.ndarray]:
         if self._cached_columns is None or self._cached_input_shape is None:
             raise RuntimeError("backward called before forward")
         grad_output = np.asarray(grad_output, dtype=np.float64)
@@ -205,12 +205,13 @@ class Conv2d(Module):
         grad_matrix = grad_output.transpose(0, 2, 3, 1).reshape(
             batch * out_h * out_w, self.out_channels
         )
-        weight_matrix = self.weight.value.reshape(self.out_channels, -1)
         grad_weight = grad_matrix.T @ self._cached_columns
         self.weight.accumulate_grad(grad_weight.reshape(self.weight.value.shape))
         if self.bias is not None:
             self.bias.accumulate_grad(grad_matrix.sum(axis=0))
-        grad_columns = grad_matrix @ weight_matrix
+        if not input_grad:
+            return None
+        grad_columns = grad_matrix @ self.weight.value.reshape(self.out_channels, -1)
         return col2im(
             grad_columns,
             self._cached_input_shape,
@@ -271,9 +272,11 @@ class MaxPool2d(Module):
         self._cached_argmax = argmax
         return output.reshape(batch, channels, out_h, out_w)
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray, input_grad: bool = True) -> Optional[np.ndarray]:
         if self._cached_argmax is None or self._cached_input_shape is None:
             raise RuntimeError("backward called before forward")
+        if not input_grad:
+            return None
         grad_output = np.asarray(grad_output, dtype=np.float64)
         batch, channels, height, width = self._cached_input_shape
         out_h, out_w = self._cached_output_size

@@ -56,7 +56,7 @@ class Linear(Module):
             output = output + self.bias.value
         return output
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray, input_grad: bool = True) -> Optional[np.ndarray]:
         if self._cached_input is None:
             raise RuntimeError("backward called before forward")
         if self._cached_input.ndim != 2:
@@ -67,6 +67,8 @@ class Linear(Module):
         self.weight.accumulate_grad(self._cached_input.T @ grad_output)
         if self.bias is not None:
             self.bias.accumulate_grad(grad_output.sum(axis=0))
+        if not input_grad:
+            return None
         return grad_output @ self.weight.value.T
 
     def parameters(self) -> List[Parameter]:
@@ -87,8 +89,10 @@ class Flatten(Module):
         self._cached_shape = inputs.shape
         return inputs.reshape(inputs.shape[0], -1)
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray, input_grad: bool = True) -> Optional[np.ndarray]:
         if self._cached_shape is None:
             raise RuntimeError("backward called before forward")
+        if not input_grad:
+            return None
         return np.asarray(grad_output, dtype=np.float64).reshape(self._cached_shape)
 

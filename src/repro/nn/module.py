@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -13,15 +13,16 @@ class Module:
     """Base class for all layers.
 
     Sub-classes implement :meth:`forward` and :meth:`backward`.  ``backward``
-    receives the gradient of the loss with respect to the layer output and
-    must return the gradient with respect to the layer input, accumulating
-    parameter gradients along the way.
+    receives the gradient of the loss with respect to the layer output,
+    accumulates parameter gradients, and returns the gradient with respect to
+    the layer input, or ``None`` without computing it when ``input_grad`` is
+    false.
     """
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray, input_grad: bool = True) -> Optional[np.ndarray]:
         raise NotImplementedError
 
     def __call__(self, inputs: np.ndarray) -> np.ndarray:
@@ -70,11 +71,18 @@ class Sequential(Module):
             output = module.forward(output)
         return output
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray, input_grad: bool = True) -> Optional[np.ndarray]:
+        """Backpropagate through every module; ``input_grad`` reaches the first only.
+
+        Trainers pass ``input_grad=False``: nothing reads the gradient of the
+        network input, so the first layer skips building it.
+        """
+        if not self.modules:
+            return grad_output if input_grad else None
         grad = grad_output
-        for module in reversed(self.modules):
+        for module in reversed(self.modules[1:]):
             grad = module.backward(grad)
-        return grad
+        return self.modules[0].backward(grad, input_grad)
 
     def parameters(self) -> List[Parameter]:
         parameters: List[Parameter] = []

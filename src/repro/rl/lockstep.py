@@ -7,7 +7,9 @@ serial path rests on three facts:
 
 * every lane owns its own ``np.random.Generator`` (per-cell ``SeedSequence``
   streams are independent), and the per-lane draw *order on that stream* is
-  unchanged — forward passes draw nothing, so batching them is invisible;
+  unchanged — forward passes draw nothing, so batching them is invisible,
+  and :func:`sample_lane_actions` draws each lane's action as its
+  ``Generator.choice`` would, in lane order;
 * the vector environments compute each lane's transition with the serial
   code: ``DroneNavVecEnv`` runs the drone row kernels on its live lanes'
   rows, ``GridWorldVecEnv`` calls each lane's own ``GridWorldEnv.step``;
@@ -55,6 +57,34 @@ def _lane_info(vec_env, lane: int, outcome: Optional[str]) -> dict:
     return info
 
 
+#: Half of the tolerance ``Generator.choice`` allows a ``p`` sum off 1.
+_HALF_CHOICE_ATOL = float(np.sqrt(np.finfo(np.float64).eps)) / 2
+
+
+def sample_lane_actions(agents: Sequence[Agent], probabilities: np.ndarray) -> np.ndarray:
+    """``agents[j].sample_action_from(probabilities[j])`` for every row, in row order.
+
+    ``Generator.choice(n, p=row)`` draws one ``random()`` and returns how many
+    entries of ``cumsum(row) / cumsum(row)[-1]`` are at most that draw; this
+    does the same for every row at once, drawing from each agent's stream in
+    row order.  ``choice`` raises for a row holding NaN or a negative entry,
+    or whose sum is off 1 by more than ``sqrt(eps)``.  The one pass runs only
+    when every row is NaN-free, non-negative and sums to 1 within half that
+    tolerance, so ``choice`` would accept every row whatever its summation
+    order.  Otherwise every row goes through ``sample_action_from`` in row
+    order, which raises the serial loop's error after its earlier draws.
+    """
+    cdf = np.cumsum(probabilities, axis=1)
+    sums = cdf[:, -1:]
+    if not (np.all(probabilities >= 0) and np.all(np.abs(sums - 1.0) <= _HALF_CHOICE_ATOL)):
+        return np.array(
+            [agent.sample_action_from(row) for agent, row in zip(agents, probabilities)],
+            dtype=np.int64,
+        )
+    draws = np.array([agent.rng.random() for agent in agents])
+    return np.count_nonzero(cdf / sums <= draws[:, None], axis=1)
+
+
 def train_episodes_lockstep(
     agents: Sequence[Agent],
     vec_env,
@@ -91,11 +121,9 @@ def train_episodes_lockstep(
             break
         probabilities = policy.forward(current[active], lanes=policy_lanes[active])
         actions = np.zeros(lane_count, dtype=np.int64)
-        for row, lane in enumerate(active):
-            # Per-lane draw on the lane's own stream, in lane order — the
-            # forward pass above consumed no randomness, so each stream sees
-            # exactly the serial sequence.
-            actions[lane] = agents[lane].sample_action_from(probabilities[row])
+        # The forward pass above consumed no randomness, so each lane's
+        # stream sees exactly the serial sequence.
+        actions[active] = sample_lane_actions([agents[lane] for lane in active], probabilities)
         result = vec_env.step_batch(actions)
         for lane in active:
             observation_buffers[lane].append(current[lane].copy())
@@ -116,4 +144,4 @@ def train_episodes_lockstep(
     return stats  # type: ignore[return-value]
 
 
-__all__ = ["build_vec_env", "train_episodes_lockstep"]
+__all__ = ["build_vec_env", "sample_lane_actions", "train_episodes_lockstep"]

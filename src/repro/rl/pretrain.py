@@ -157,7 +157,7 @@ def _train_on_dataset(
             grad[rows, batch_act] = -1.0 / clipped[rows, batch_act]
             grad /= len(batch_idx)
             agent.network.zero_grad()
-            agent.network.backward(grad)
+            agent.network.backward(grad, input_grad=False)
             optimizer.step()
             correct += int((probabilities.argmax(axis=1) == batch_act).sum())
         accuracy = correct / sample_count

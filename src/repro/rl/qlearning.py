@@ -132,7 +132,7 @@ class QLearningAgent(Agent):
         targets[np.arange(len(actions)), actions] = targets_for_actions
         loss, grad = self.loss_fn(predictions, targets)
         self.network.zero_grad()
-        self.network.backward(grad)
+        self.network.backward(grad, input_grad=False)
         self.optimizer.step()
         return loss
 

@@ -85,8 +85,10 @@ class ReinforceAgent(Agent):
         """Sample an exploration action from precomputed policy probabilities.
 
         This is the exploration branch of :meth:`select_action` split out so the
-        lockstep evaluator can batch the forward pass while drawing from this
-        agent's own stream in exactly the serial order.
+        lockstep trainer can batch the forward pass.
+        :func:`~repro.rl.lockstep.sample_lane_actions` draws every lane in one
+        pass that copies this ``choice``, and calls this method row by row when
+        ``choice`` might refuse a row.
         """
         return int(self._rng.choice(len(probabilities), p=probabilities))
 
@@ -138,7 +140,7 @@ class ReinforceAgent(Agent):
             grad += self.config.entropy_bonus * (np.log(clipped) + 1.0)
         grad /= len(action_array)
         self.network.zero_grad()
-        self.network.backward(grad)
+        self.network.backward(grad, input_grad=False)
         self.optimizer.step()
         return loss
 

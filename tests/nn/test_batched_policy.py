@@ -5,6 +5,10 @@ before every GEMM (BLAS picks its kernel — and hence its floating-point
 reduction order — from operand strides), which is what makes row ``j`` of
 ``forward`` byte-identical to ``networks[j].forward(obs[None])[0]`` rather
 than merely numerically close.
+
+Each stacked ``Conv2d`` and ``Linear`` runs as one ``np.matmul`` over the
+lane stack.  :func:`_per_lane_loop_forward` keeps the forward it replaced,
+one 2-D GEMM per lane, as a second byte reference.
 """
 
 import numpy as np
@@ -12,7 +16,10 @@ import pytest
 
 from repro.core.config import DroneScale
 from repro.core.workloads import drone_agent_config
+from repro.nn.activations import ReLU, Softmax
 from repro.nn.batched import StackedPolicy
+from repro.nn.conv import Conv2d, MaxPool2d, unfold_patches
+from repro.nn.layers import Flatten, Linear
 from repro.rl.reinforce import ReinforceAgent, ReinforceConfig
 
 #: ``DroneScale.tiny()``'s 3x8x16 input pools to even sizes only; the
@@ -43,6 +50,63 @@ def _observations(count, shape, seed=5, faults=False):
     return observations
 
 
+def _per_lane_loop_forward(policy, observations, lanes=None):
+    """The stacked forward before one matmul per layer: a 2-D GEMM per lane."""
+    x = np.asarray(observations, dtype=np.float64)
+    gather = slice(None) if lanes is None else np.asarray(lanes, dtype=np.int64)
+    for index, module in enumerate(policy.networks[0].modules):
+        weight = policy._weight_stacks[index]
+        bias = policy._bias_stacks[index]
+        if weight is not None:
+            weight = weight[gather]
+        if bias is not None:
+            bias = bias[gather]
+        if isinstance(module, Conv2d):
+            kernel = module.kernel_size
+            columns = unfold_patches(x, kernel, kernel, module.stride, module.padding)
+            count, channels, _, _, out_h, out_w = columns.shape
+            out = np.empty((count, out_h * out_w, module.out_channels))
+            for lane in range(count):
+                cols = columns[lane : lane + 1].transpose(0, 4, 5, 1, 2, 3).reshape(
+                    out_h * out_w, channels * kernel * kernel
+                )
+                product = cols @ weight[lane].T
+                if bias is not None:
+                    product = product + bias[lane]
+                out[lane] = product
+            x = out.reshape(count, out_h, out_w, module.out_channels).transpose(0, 3, 1, 2)
+        elif isinstance(module, Linear):
+            out = np.empty((x.shape[0], module.out_features))
+            for row in range(x.shape[0]):
+                out[row] = (x[row : row + 1] @ weight[row])[0]
+            if bias is not None:
+                out = out + bias
+            x = out
+        elif isinstance(module, MaxPool2d):
+            x = StackedPolicy._pool_forward(module, x)
+        elif isinstance(module, ReLU):
+            x = x * (x > 0)
+        elif isinstance(module, Flatten):
+            x = x.reshape(x.shape[0], -1)
+        elif isinstance(module, Softmax):
+            shifted = x - x.max(axis=1, keepdims=True)
+            exps = np.exp(shifted)
+            x = exps / exps.sum(axis=1, keepdims=True)
+    return x
+
+
+def _assert_rows_exact(policy, agents, observations, lanes=None):
+    """Stacked rows carry the bytes of each lane's serial forward and of the per-lane loop."""
+    with np.errstate(invalid="ignore"):
+        stacked = policy.forward(observations, lanes=lanes)
+        reference = _per_lane_loop_forward(policy, observations, lanes=lanes)
+        assert stacked.tobytes() == reference.tobytes()
+        routes = range(len(agents)) if lanes is None else lanes
+        for row, lane in enumerate(routes):
+            serial = agents[lane].network.forward(observations[row][None])[0]
+            assert stacked[row].tobytes() == serial.tobytes()
+
+
 def _identity_case(lane_count, config, faults):
     """One case, its id ``[default-][faults-]<lanes>`` (the tiny normal cases keep ``[<lanes>]``)."""
     label = ([] if config == "tiny" else [config]) + (["faults"] if faults else [])
@@ -56,7 +120,7 @@ class TestStackedForwardIdentity:
             _identity_case(lanes, config, faults)
             for config in ("tiny", "default")
             for faults in (False, True)
-            for lanes in (1, 2, 5)
+            for lanes in (1, 2, 5, 36)
         ],
     )
     def test_forward_matches_serial_bitwise(self, lane_count, config, faults):
@@ -64,22 +128,29 @@ class TestStackedForwardIdentity:
         policy = StackedPolicy([agent.network for agent in agents])
         shape = agents[0].config.input_shape
         observations = _observations(lane_count, shape, faults=faults)
-        with np.errstate(invalid="ignore"):
-            stacked = policy.forward(observations)
-            for lane, agent in enumerate(agents):
-                serial = agent.network.forward(observations[lane][None])[0]
-                assert stacked[lane].tobytes() == serial.tobytes()
+        _assert_rows_exact(policy, agents, observations)
 
     def test_lane_selection_routes_each_row_to_its_network(self):
         agents = _agents(3)
         policy = StackedPolicy([agent.network for agent in agents])
         shape = agents[0].config.input_shape
         observations = _observations(2, shape)
-        lanes = np.array([2, 0])
-        stacked = policy.forward(observations, lanes=lanes)
-        for row, lane in enumerate(lanes):
-            serial = agents[lane].network.forward(observations[row][None])[0]
-            assert stacked[row].tobytes() == serial.tobytes()
+        _assert_rows_exact(policy, agents, observations, lanes=np.array([2, 0]))
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    @pytest.mark.parametrize("faults", [False, True], ids=["normal", "faults"])
+    @pytest.mark.parametrize("gather", ["permuted", "repeated"])
+    def test_lane_gathers_match_serial_bitwise(self, config, faults, gather):
+        agents = _agents(5, config=config)
+        policy = StackedPolicy([agent.network for agent in agents])
+        rng = np.random.default_rng(11)
+        if gather == "permuted":
+            lanes = rng.permutation(len(agents))
+        else:
+            lanes = rng.integers(0, len(agents), size=12)
+            lanes[:3] = lanes[0]
+        observations = _observations(len(lanes), agents[0].config.input_shape, faults=faults)
+        _assert_rows_exact(policy, agents, observations, lanes=lanes)
 
     def test_refresh_picks_up_weight_mutations(self):
         agents = _agents(2)
