@@ -6,16 +6,13 @@ from repro.core.experiments.gridworld_training import (
     policy_std_table,
     weight_distribution,
 )
-from repro.core.experiments.gridworld_inference import (
-    evaluate_gridworld_policy,
-    gridworld_inference_sweep,
-)
+from repro.core.experiments.gridworld_inference import gridworld_inference_sweep
 from repro.core.experiments.drone_training import (
     communication_interval_study,
     drone_count_sweep,
     drone_training_heatmap,
 )
-from repro.core.experiments.drone_inference import datatype_study, evaluate_drone_policy
+from repro.core.experiments.drone_inference import datatype_study
 from repro.core.experiments.mitigation_experiments import (
     inference_mitigation_sweep,
     training_mitigation_heatmap,
@@ -28,12 +25,10 @@ __all__ = [
     "policy_std_table",
     "weight_distribution",
     "gridworld_inference_sweep",
-    "evaluate_gridworld_policy",
     "drone_training_heatmap",
     "drone_count_sweep",
     "communication_interval_study",
     "datatype_study",
-    "evaluate_drone_policy",
     "training_mitigation_heatmap",
     "inference_mitigation_sweep",
     "overhead_comparison",

@@ -24,19 +24,6 @@ DEFAULT_DATATYPES = ("Q(1,4,11)", "Q(1,7,8)", "Q(1,10,5)")
 DEFAULT_DATATYPE_BERS = (0.0, 1e-3, 1e-2)
 
 
-def evaluate_drone_policy(
-    state: StateDict,
-    scale: Optional[DroneScale] = None,
-    attempts_per_env: int = 1,
-    rng=None,
-) -> float:
-    """Average safe flight distance of ``state`` over the canonical drone worlds."""
-    scale = scale or DroneScale.fast()
-    envs = drone_environments(scale)
-    agent = drone_agent_with_state(scale, state, rng=rng)
-    return flight_distance_over_envs(agent, envs, attempts_per_env)
-
-
 def datatype_cell(
     scale: DroneScale,
     datatype: str,

@@ -25,19 +25,6 @@ DEFAULT_INFERENCE_BERS = (0.0, 0.005, 0.01, 0.02)
 DEFAULT_VARIANTS = ("Multi-Trans-M", "Multi-Trans-1", "Single-Trans-M", "Stuck-at-0", "Stuck-at-1")
 
 
-def evaluate_gridworld_policy(
-    state: StateDict,
-    scale: Optional[GridWorldScale] = None,
-    attempts_per_env: int = 5,
-    rng=None,
-) -> float:
-    """Average success rate of ``state`` over the canonical GridWorld suite."""
-    scale = scale or GridWorldScale.fast()
-    envs = gridworld_environments(scale)
-    agent = gridworld_agent_with_state(scale, state, rng=rng)
-    return success_rate_over_envs(agent, envs, attempts_per_env)
-
-
 def gridworld_inference_cell(
     scale: GridWorldScale,
     ber: float,

@@ -15,8 +15,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import lru_cache
-from typing import List, Optional, Tuple
+from functools import cached_property, lru_cache
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,13 +41,19 @@ ACTION_NAMES: Tuple[str, ...] = ("up", "down", "right", "left")
 _HELL = int(CellType.HELL)
 _GOAL = int(CellType.GOAL)
 
+# Successor-table codes of the two moves that end a walk before its last step.
+CRASH_CODE = -1
+GOAL_CODE = -2
+
 
 @dataclass(frozen=True)
 class GridWorldLayout:
     """An immutable maze description.
 
-    The layout keeps a read-only copy of ``grid``, so environments may build
-    their lookup tables from it once.
+    The layout keeps a read-only copy of ``grid`` and, built on first use and
+    kept, three read-only lookup tables that every environment on the layout
+    shares: :attr:`bordered_cells`, one :meth:`observation_table` per
+    observation mode, and :attr:`successors`.
     """
 
     grid: np.ndarray  # 2D array of CellType values
@@ -69,6 +75,7 @@ class GridWorldLayout:
             raise ValueError("source cell must not be a hell cell")
         if grid[self.goal] != CellType.GOAL:
             raise ValueError("goal coordinates must point at a GOAL cell")
+        object.__setattr__(self, "_observation_tables", {})
 
     @property
     def shape(self) -> Tuple[int, int]:
@@ -81,6 +88,80 @@ class GridWorldLayout:
         if not (0 <= row < rows and 0 <= col < cols):
             return CellType.HELL
         return CellType(int(self.grid[row, col]))
+
+    @cached_property
+    def bordered_cells(self) -> np.ndarray:
+        """The cell grid inside a one-cell HELL border, read-only.
+
+        The border turns "out of bounds is hell" into a plain lookup: cell
+        ``(row, col)`` sits at ``bordered_cells[row + 1, col + 1]``.
+        """
+        rows, cols = self.shape
+        cells = np.full((rows + 2, cols + 2), _HELL, dtype=np.int64)
+        cells[1:-1, 1:-1] = self.grid
+        cells.setflags(write=False)
+        return cells
+
+    def observation_table(self, observation_mode: str) -> np.ndarray:
+        """Read-only ``(rows, cols, obs)`` table of every cell's observation.
+
+        See :class:`GridWorldEnv` for the two modes.  Observations hold exact
+        small constants (-1, 0, +1), so the table is the same bytes however
+        it is computed.
+        """
+        table = self._observation_tables.get(observation_mode)
+        if table is not None:
+            return table
+        if observation_mode not in GridWorldEnv.OBSERVATION_MODES:
+            raise ValueError(
+                f"observation_mode must be one of {GridWorldEnv.OBSERVATION_MODES}, "
+                f"got {observation_mode!r}"
+            )
+        neighbours = self._neighbours(self.bordered_cells)
+        columns = [np.where(neighbours == _HELL, -1.0, np.where(neighbours == _GOAL, 1.0, 0.0))]
+        if observation_mode == "goal_direction":
+            rows, cols = self.shape
+            goal_row, goal_col = self.goal
+            offsets = np.broadcast_arrays(
+                np.sign(goal_row - np.arange(rows))[:, None],
+                np.sign(goal_col - np.arange(cols))[None, :],
+            )
+            columns.append(np.stack(offsets, axis=-1).astype(np.float64))
+        table = np.concatenate(columns, axis=-1)
+        table.setflags(write=False)
+        self._observation_tables[observation_mode] = table
+        return table
+
+    @cached_property
+    def successors(self) -> Tuple[int, ...]:
+        """Where every move leads, as a tuple of plain ints.
+
+        Cells are numbered flat, ``row * cols + col``.  Entry ``4 * cell +
+        action`` is the flat cell the move enters, or :data:`CRASH_CODE`
+        when it enters a hell cell or leaves the grid, or :data:`GOAL_CODE`
+        when it enters the goal.
+        """
+        rows, cols = self.shape
+        flat = np.full((rows + 2, cols + 2), CRASH_CODE, dtype=np.int64)
+        flat[1:-1, 1:-1] = np.arange(rows * cols).reshape(rows, cols)
+        targets = self._neighbours(self.bordered_cells)
+        successors = np.where(
+            targets == _HELL,
+            CRASH_CODE,
+            np.where(targets == _GOAL, GOAL_CODE, self._neighbours(flat)),
+        )
+        return tuple(successors.reshape(-1).tolist())
+
+    def _neighbours(self, bordered: np.ndarray) -> np.ndarray:
+        """``(rows, cols, 4)`` stack of each cell's neighbour in ``bordered``, per action."""
+        rows, cols = self.shape
+        return np.stack(
+            [
+                bordered[1 + d_row : rows + 1 + d_row, 1 + d_col : cols + 1 + d_col]
+                for d_row, d_col in ACTIONS
+            ],
+            axis=-1,
+        )
 
     def render(self) -> str:
         """ASCII rendering (S=source, G=goal, #=hell, .=free)."""
@@ -196,15 +277,14 @@ class GridWorldEnv(Environment):
     ) -> None:
         if max_steps <= 0:
             raise ValueError(f"max_steps must be positive, got {max_steps}")
-        if observation_mode not in self.OBSERVATION_MODES:
-            raise ValueError(
-                f"observation_mode must be one of {self.OBSERVATION_MODES}, got {observation_mode!r}"
-            )
+        self._observations = layout.observation_table(observation_mode)
         self.layout = layout
         self.max_steps = max_steps
         self.observation_mode = observation_mode
-        self.observation_shape = (4,) if observation_mode == "local" else (6,)
-        self._cells, self._observations = _lookup_tables(layout, observation_mode)
+        self.observation_shape = self._observations.shape[2:]
+        self._cells = layout.bordered_cells
+        self._successors = layout.successors
+        self._source_cell = layout.source[0] * layout.shape[1] + layout.source[1]
         self._position: Tuple[int, int] = layout.source
         self._steps = 0
         self._done = True  # requires reset() before stepping
@@ -282,37 +362,41 @@ class GridWorldEnv(Environment):
         info["outcome"] = "move"
         return StepResult(observation, reward, False, info)
 
+    def walk(
+        self,
+        actions: Sequence[int],
+        epsilon: float,
+        rng: np.random.Generator,
+        fault_step: Optional[int] = None,
+        fault_actions: Optional[Sequence[int]] = None,
+    ) -> bool:
+        """Run one greedy episode from the source; return whether it reached the goal.
 
-def _lookup_tables(layout: GridWorldLayout, observation_mode: str) -> Tuple[np.ndarray, np.ndarray]:
-    """The layout's cells inside a one-cell HELL border, and every cell's observation.
-
-    The border turns "out of bounds is hell" into a plain lookup: cell
-    ``(row, col)`` sits at ``cells[row + 1, col + 1]``.  Observations hold
-    exact small constants (-1, 0, +1), so the table is the same bytes
-    however it is computed.  Both tables are read-only.
-    """
-    rows, cols = layout.shape
-    cells = np.full((rows + 2, cols + 2), _HELL, dtype=np.int64)
-    cells[1:-1, 1:-1] = layout.grid
-    neighbours = np.stack(
-        [
-            cells[1 + d_row : rows + 1 + d_row, 1 + d_col : cols + 1 + d_col]
-            for d_row, d_col in ACTIONS
-        ],
-        axis=-1,
-    )
-    columns = [np.where(neighbours == _HELL, -1.0, np.where(neighbours == _GOAL, 1.0, 0.0))]
-    if observation_mode == "goal_direction":
-        goal_row, goal_col = layout.goal
-        offsets = np.broadcast_arrays(
-            np.sign(goal_row - np.arange(rows))[:, None],
-            np.sign(goal_col - np.arange(cols))[None, :],
-        )
-        columns.append(np.stack(offsets, axis=-1).astype(np.float64))
-    observations = np.concatenate(columns, axis=-1)
-    cells.setflags(write=False)
-    observations.setflags(write=False)
-    return cells, observations
+        ``actions`` holds the action of every flat cell ``row * cols + col``
+        as a plain int.  Each step draws as ``rl.rollout.greedy_episode``
+        does: ``rng.random()`` when ``epsilon`` is positive and, when that
+        draw is below ``epsilon``, a uniform action from ``rng.integers``.
+        Otherwise step ``fault_step`` takes ``fault_actions[cell]`` and every
+        other step ``actions[cell]``.  The episode follows
+        :attr:`GridWorldLayout.successors`; a crash or ``max_steps`` steps
+        without the goal return ``False``.  The walk builds no step results
+        and neither reads nor changes this environment's episode state.
+        """
+        if not 0.0 <= epsilon <= 1.0:
+            raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
+        successors = self._successors
+        cell = self._source_cell
+        for step in range(self.max_steps):
+            if epsilon > 0.0 and rng.random() < epsilon:
+                action = int(rng.integers(0, self.action_count))
+            elif step == fault_step:
+                action = fault_actions[cell]
+            else:
+                action = actions[cell]
+            cell = successors[4 * cell + action]
+            if cell < 0:
+                return cell == GOAL_CODE
+        return False
 
 
 class GridWorldVecEnv:

@@ -9,7 +9,6 @@ import numpy as np
 from repro.nn.init import xavier_uniform, zeros_init
 from repro.nn.module import Module
 from repro.nn.parameter import Parameter
-from repro.utils.rng import as_rng
 
 
 class Linear(Module):
@@ -33,7 +32,6 @@ class Linear(Module):
         super().__init__()
         if in_features <= 0 or out_features <= 0:
             raise ValueError("in_features and out_features must be positive")
-        rng = as_rng(rng)
         self.in_features = in_features
         self.out_features = out_features
         self.weight = Parameter(init((in_features, out_features), rng=rng), name="weight")

@@ -8,15 +8,16 @@ image, 25-action probabilistic head).
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from repro.nn.activations import ReLU, Softmax
 from repro.nn.conv import Conv2d, MaxPool2d
+from repro.nn.init import xavier_uniform, zeros_init
 from repro.nn.layers import Flatten, Linear
 from repro.nn.module import Module, Sequential
-from repro.utils.rng import as_rng, spawn_rngs
+from repro.utils.rng import as_rng, child_seeds, spawn_rngs
 
 
 def build_gridworld_q_network(
@@ -24,23 +25,40 @@ def build_gridworld_q_network(
     action_count: int = 4,
     hidden_sizes: Sequence[int] = (32, 32),
     rng=None,
+    state: Optional[Dict[str, np.ndarray]] = None,
 ) -> Sequential:
     """MLP Q-network for the GridWorld navigation task.
 
     The observation is the 4-cell neighbourhood encoding (values in
     {-1, 0, 1}) and the output is one Q-value per action in
     {up, down, right, left}.
+
+    With ``state`` the network holds a copy of it, checked as
+    :meth:`~repro.nn.module.Module.load_state_dict` checks it, and no layer
+    runs its random init.  ``rng`` still makes the one draw a random init
+    makes on it, the layers' :func:`~repro.utils.rng.child_seeds`, so it
+    ends where a random init leaves it.
     """
     rng = as_rng(rng)
-    layer_rngs = spawn_rngs(rng, len(hidden_sizes) + 1)
+    layer_count = len(hidden_sizes) + 1
+    if state is None:
+        layer_rngs = spawn_rngs(rng, layer_count)
+        init = xavier_uniform
+    else:
+        child_seeds(rng, layer_count)
+        layer_rngs = [None] * layer_count
+        init = zeros_init
     layers = []
     previous = observation_size
     for index, hidden in enumerate(hidden_sizes):
-        layers.append(Linear(previous, hidden, rng=layer_rngs[index]))
+        layers.append(Linear(previous, hidden, rng=layer_rngs[index], init=init))
         layers.append(ReLU())
         previous = hidden
-    layers.append(Linear(previous, action_count, rng=layer_rngs[-1]))
-    return Sequential(*layers)
+    layers.append(Linear(previous, action_count, rng=layer_rngs[-1], init=init))
+    network = Sequential(*layers)
+    if state is not None:
+        network.load_state_dict(state)
+    return network
 
 
 def build_drone_policy_network(

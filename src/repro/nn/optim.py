@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -70,7 +70,9 @@ class Adam(Optimizer):
     parameter's elements in parameter order, so a step runs each elementwise
     operation once over all parameters and then subtracts each parameter's
     slice of the update from its ``value`` in place.  Parameters keep their
-    own ``value`` and ``grad`` arrays.
+    own ``value`` and ``grad`` arrays.  The flat arrays are allocated at the
+    first step, so an optimizer that never steps (an inference agent's)
+    holds none.
 
     An elementwise op computes each element from that element's operands
     alone, so every parameter gets the bytes a per-parameter loop gives it.
@@ -104,16 +106,21 @@ class Adam(Optimizer):
         self.epsilon = epsilon
         self.weight_decay = weight_decay
         self._step_count = 0
-        stops = np.cumsum([p.value.size for p in self.parameters]).tolist()
-        self._first_moment = np.zeros(stops[-1])
-        self._second_moment = np.zeros(stops[-1])
-        self._update = np.empty(stops[-1])
-        self._update_views = [
-            (p, self._update[stop - p.value.size : stop].reshape(p.value.shape))
-            for p, stop in zip(self.parameters, stops)
-        ]
+        self._first_moment: Optional[np.ndarray] = None
+        self._second_moment: Optional[np.ndarray] = None
+        self._update: Optional[np.ndarray] = None
+        self._update_views: List[Tuple[Parameter, np.ndarray]] = []
 
     def step(self) -> None:
+        if self._first_moment is None:
+            stops = np.cumsum([p.value.size for p in self.parameters]).tolist()
+            self._first_moment = np.zeros(stops[-1])
+            self._second_moment = np.zeros(stops[-1])
+            self._update = np.empty(stops[-1])
+            self._update_views = [
+                (p, self._update[stop - p.value.size : stop].reshape(p.value.shape))
+                for p, stop in zip(self.parameters, stops)
+            ]
         self._step_count += 1
         bias_correction1 = 1.0 - self.beta1**self._step_count
         bias_correction2 = 1.0 - self.beta2**self._step_count

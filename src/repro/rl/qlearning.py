@@ -47,13 +47,20 @@ class QLearningConfig:
 
 
 class QLearningAgent(Agent):
-    """ε-greedy Q-learning over a small MLP Q-network."""
+    """ε-greedy Q-learning over a small MLP Q-network.
+
+    With ``state`` the Q-network holds a copy of it from the start and runs
+    no random init; the agent's stream still makes the init's one draw, so
+    it ends where building the agent and then :meth:`load_state_dict`
+    leaves it.
+    """
 
     def __init__(
         self,
         config: Optional[QLearningConfig] = None,
         epsilon_schedule: Optional[EpsilonSchedule] = None,
         rng=None,
+        state: Optional[Dict[str, np.ndarray]] = None,
     ) -> None:
         self.config = config or QLearningConfig()
         self._rng = as_rng(rng)
@@ -62,6 +69,7 @@ class QLearningAgent(Agent):
             action_count=self.config.action_count,
             hidden_sizes=self.config.hidden_sizes,
             rng=self._rng,
+            state=state,
         )
         self.optimizer = Adam(self.network.parameters(), learning_rate=self.config.learning_rate)
         self.loss_fn = HuberLoss()

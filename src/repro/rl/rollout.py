@@ -14,6 +14,13 @@ trade-off: evaluating a live agent advances its training stream, so the
 evaluation cadence is part of an experiment's definition (changing it changes
 the downstream trajectory — deterministically).  Pass an explicit ``rng`` to
 evaluate without touching the agent's stream.
+
+Drone evaluation steps the environment with :func:`greedy_episode`, asking
+the policy for every action.  A GridWorld observation depends only on the
+agent's cell, so :func:`evaluate_success_rate` computes the greedy action of
+every cell once (:func:`greedy_action_table`) and runs each attempt as one
+:meth:`GridWorldEnv.walk` over the layout's successor table: the same draws
+as :func:`greedy_episode`, without building step results.
 """
 
 from __future__ import annotations
@@ -63,15 +70,15 @@ def greedy_episode(
     return outcome_to_stats(total_reward, steps, last_info)
 
 
-def greedy_action_table(agent: QLearningAgent, env: GridWorldEnv) -> np.ndarray:
-    """``agent``'s greedy action in every cell of ``env``, indexed ``[row, col]``.
+def greedy_action_table(agent: QLearningAgent, env: GridWorldEnv) -> List[int]:
+    """``agent``'s greedy action in every cell of ``env``, as :meth:`GridWorldEnv.walk` takes it.
 
-    One stacked forward over ``env.observation_table``; draws no random
+    A list of plain ints indexed by flat cell, ``row * cols + col``, from
+    one stacked forward over ``env.observation_table``; draws no random
     numbers.
     """
     table = env.observation_table
-    rows, cols, size = table.shape
-    return agent.greedy_actions(table.reshape(rows * cols, size)).reshape(rows, cols)
+    return agent.greedy_actions(table.reshape(-1, table.shape[-1])).tolist()
 
 
 def evaluate_success_rate(
@@ -83,23 +90,14 @@ def evaluate_success_rate(
 ) -> float:
     """Fraction of attempts in which the agent reached the goal (GridWorld SR).
 
-    Greedy actions come from one :func:`greedy_action_table` for all
-    attempts.
+    Every attempt is one :meth:`GridWorldEnv.walk` over one
+    :func:`greedy_action_table`, with the draws of :func:`greedy_episode`.
     """
     if attempts <= 0:
         raise ValueError(f"attempts must be positive, got {attempts}")
     rng = as_rng(rng if rng is not None else getattr(agent, "rng", None))
     actions = greedy_action_table(agent, env)
-
-    def act(_observation: np.ndarray) -> int:
-        """The table's action for the agent's cell."""
-        return actions[env.position]
-
-    successes = 0
-    for _ in range(attempts):
-        stats = greedy_episode(act, env, epsilon, rng)
-        if stats.success:
-            successes += 1
+    successes = sum(env.walk(actions, epsilon, rng) for _ in range(attempts))
     return successes / attempts
 
 

@@ -30,14 +30,22 @@ def as_rng(seed: RngLike = None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def child_seeds(rng: np.random.Generator, count: int) -> np.ndarray:
+    """The ``count`` seeds :func:`spawn_rngs` draws from ``rng`` for its children.
+
+    A caller that needs no children but must leave ``rng`` where
+    :func:`spawn_rngs` leaves it makes this draw alone.
+    """
+    return rng.integers(0, 2**63 - 1, size=count)
+
+
 def spawn_rngs(seed: RngLike, count: int) -> List[np.random.Generator]:
     """Create ``count`` statistically independent generators from ``seed``."""
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
     if isinstance(seed, np.random.Generator):
         # Derive children by drawing independent seeds from the parent stream.
-        seeds = seed.integers(0, 2**63 - 1, size=count)
-        return [np.random.default_rng(int(s)) for s in seeds]
+        return [np.random.default_rng(int(s)) for s in child_seeds(seed, count)]
     sequence = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     return [np.random.default_rng(child) for child in sequence.spawn(count)]
 

@@ -72,12 +72,6 @@ class TestGridworldInference:
                 variants=("Quad-Trans",),
             )
 
-    def test_evaluate_gridworld_policy(self, gw_scale, tiny_gridworld_policies):
-        rate = experiments.evaluate_gridworld_policy(
-            tiny_gridworld_policies["consensus"], scale=gw_scale, attempts_per_env=2
-        )
-        assert 0.0 <= rate <= 1.0
-
 
 class TestDroneExperiments:
     def test_drone_training_heatmap(self, drone_scale, policy_cache):
@@ -108,12 +102,6 @@ class TestDroneExperiments:
             scale=drone_scale, ber_values=(0.0, 1e-2), cache=policy_cache, repeats=1
         )
         assert set(result.series) == {"Q(1,4,11)", "Q(1,7,8)", "Q(1,10,5)"}
-
-    def test_evaluate_drone_policy(self, drone_scale, tiny_drone_policy):
-        distance = experiments.evaluate_drone_policy(
-            tiny_drone_policy["policy"], scale=drone_scale, attempts_per_env=1
-        )
-        assert distance > 0.0
 
 
 class TestMitigationExperiments:

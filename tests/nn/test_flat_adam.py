@@ -134,3 +134,10 @@ def test_steps_parameters_in_place():
     optimizer.step()
     assert all(p.value is array for p, array in zip(parameters, arrays))
     assert optimizer._first_moment.shape == (sum(p.size for p in parameters),)
+
+
+def test_an_optimizer_that_never_steps_holds_no_moments():
+    parameters = parameters_of(SHAPES["q-network"], seed=3)
+    optimizer = Adam(parameters, learning_rate=0.01)
+    assert optimizer._first_moment is None and optimizer._second_moment is None
+    assert optimizer._update is None and optimizer._update_views == []

@@ -1,9 +1,13 @@
 """Greedy action tables against the per-step evaluation loop they replaced.
 
 GridWorld evaluation looks up each step's greedy action in a per-cell table
-computed by one stacked forward.  The references below keep the per-step
-``select_action`` loops; results, per-episode statistics and the random
-stream's state afterwards must all match for fault-corrupted policies.
+computed by one stacked forward, and walks each episode over the layout's
+successor table.  The references below keep the per-step ``select_action``
+loops; results, per-episode statistics and the random stream's state
+afterwards must all match for fault-corrupted policies.  Inference agents
+are built from their state; the reference builds a randomly initialised
+agent and loads the state into it, and the stream state, every parameter's
+bytes and the greedy tables must match, NaN and infinities included.
 """
 
 import numpy as np
@@ -12,12 +16,14 @@ import pytest
 from repro.core.experiments.inference_utils import (
     gridworld_agent_with_state,
     single_step_fault_success_rate,
+    success_rate_over_envs,
 )
-from repro.core.workloads import gridworld_environments
+from repro.core.workloads import gridworld_agent_config, gridworld_environments
 from repro.envs.gridworld import enumerate_observations
 from repro.faults import FaultInjector
 from repro.faults.hooks import attach_activation_faults
 from repro.rl.base import outcome_to_stats
+from repro.rl.qlearning import QLearningAgent
 from repro.rl.rollout import evaluate_success_rate, greedy_action_table, greedy_episode
 from repro.utils.rng import as_rng
 
@@ -156,10 +162,13 @@ def test_episode_statistics_match(tiny_gridworld_scale, states):
         for state in states:
             agent = gridworld_agent_with_state(tiny_gridworld_scale, state, rng=1)
             actions = greedy_action_table(agent, env)
+            cols = env.layout.shape[1]
             rng = np.random.default_rng(4)
             reference_rng = np.random.default_rng(4)
             for _ in range(3):
-                stats = greedy_episode(lambda _o: actions[env.position], env, 0.05, rng)
+                stats = greedy_episode(
+                    lambda _o: actions[env.position[0] * cols + env.position[1]], env, 0.05, rng
+                )
                 assert stats == reference_greedy_episode(agent, env, 0.05, reference_rng)
 
 
@@ -188,3 +197,106 @@ def test_network_with_activation_hook_is_rejected(tiny_gridworld_scale, states):
     with pytest.raises(TypeError, match="ActivationFaultHook"):
         agent.greedy_actions(enumerate_observations(6))
     assert rng.bit_generator.state == before
+
+
+#: NaN payloads of both signs, infinities, signed zeros and a subnormal.
+SPECIAL_VALUES = np.concatenate([
+    np.array([0x7FF8000000000123, 0xFFF0000000000001, 0x7FF0000000000F00], np.uint64)
+    .view(np.float64),
+    [np.inf, -np.inf, 0.0, -0.0, 5e-324],
+])
+
+
+def _nonfinite(state, offset):
+    """``state`` with the special values written across every parameter."""
+    corrupted = {}
+    for name, value in state.items():
+        value = value.copy()
+        flat = value.reshape(-1)
+        positions = (offset + 3 * np.arange(flat.size)) % flat.size
+        count = min(flat.size, SPECIAL_VALUES.size)
+        flat[positions[:count]] = SPECIAL_VALUES[:count]
+        corrupted[name] = value
+    return corrupted
+
+
+def _init_then_load(config, rng, state):
+    agent = QLearningAgent(config, rng=rng)
+    agent.load_state_dict(state)
+    return agent
+
+
+def test_state_built_agents_match_init_then_load(tiny_gridworld_scale, states):
+    config = gridworld_agent_config(tiny_gridworld_scale)
+    envs = gridworld_environments(tiny_gridworld_scale)
+    cases = states + [_nonfinite(state, offset) for offset, state in enumerate(states[:2])]
+    for seed, state in enumerate(cases):
+        rng = np.random.default_rng(seed)
+        reference_rng = np.random.default_rng(seed)
+        agent = gridworld_agent_with_state(tiny_gridworld_scale, state, rng=rng)
+        reference = _init_then_load(config, reference_rng, state)
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+        parameters = list(agent.network.named_parameters())
+        expected = list(reference.network.named_parameters())
+        assert [name for name, _ in parameters] == [name for name, _ in expected]
+        for (_, parameter), (_, reference_parameter) in zip(parameters, expected):
+            assert parameter.value.dtype == reference_parameter.value.dtype
+            assert parameter.value.shape == reference_parameter.value.shape
+            assert parameter.value.tobytes() == reference_parameter.value.tobytes()
+            assert parameter.grad.tobytes() == reference_parameter.grad.tobytes()
+        with np.errstate(all="ignore"):
+            for env in envs:
+                assert greedy_action_table(agent, env) == greedy_action_table(reference, env)
+
+
+def _mismatched_states(clean):
+    missing = dict(clean)
+    del missing["2.bias"]
+    unexpected = dict(clean, **{"6.weight": np.zeros((2, 2))})
+    misshaped = dict(clean, **{"0.weight": np.zeros(clean["0.weight"].shape[::-1])})
+    return [missing, unexpected, misshaped]
+
+
+def test_state_mismatches_raise_as_before(tiny_gridworld_scale, states):
+    config = gridworld_agent_config(tiny_gridworld_scale)
+    for seed, state in enumerate(_mismatched_states(states[0])):
+        rng = np.random.default_rng(seed)
+        reference_rng = np.random.default_rng(seed)
+        with pytest.raises((KeyError, ValueError)) as expected:
+            _init_then_load(config, reference_rng, state)
+        with pytest.raises(expected.type) as raised:
+            QLearningAgent(config, rng=rng, state=state)
+        assert str(raised.value) == str(expected.value)
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+def test_state_arrays_are_copied_not_aliased(tiny_gridworld_scale, states):
+    state = {name: value.copy() for name, value in states[1].items()}
+    agent = gridworld_agent_with_state(tiny_gridworld_scale, state, rng=0)
+    for name, parameter in agent.network.named_parameters():
+        assert not np.shares_memory(parameter.value, state[name])
+        assert parameter.value.flags.writeable
+    before = agent.state_dict()
+    for value in state.values():
+        value += 1.0
+    after = agent.state_dict()
+    assert all(after[name].tobytes() == before[name].tobytes() for name in before)
+
+
+@pytest.mark.parametrize("attempts, env_count", [(0, 2), (-1, 2), (3, 0), (0, 0)])
+def test_evaluations_without_attempts_raise_before_drawing(
+    tiny_gridworld_scale, states, attempts, env_count
+):
+    envs = list(gridworld_environments(tiny_gridworld_scale))[:env_count]
+    rng = np.random.default_rng(5)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError):
+        single_step_fault_success_rate(
+            tiny_gridworld_scale, states[0], states[1], envs, attempts, rng
+        )
+    assert rng.bit_generator.state == before
+    agent = gridworld_agent_with_state(tiny_gridworld_scale, states[0], rng=7)
+    before = agent.rng.bit_generator.state
+    with pytest.raises(ValueError):
+        success_rate_over_envs(agent, envs, attempts)
+    assert agent.rng.bit_generator.state == before
