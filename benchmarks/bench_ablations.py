@@ -7,20 +7,23 @@ cadence, smoothing-average weight).
 
 import numpy as np
 
-from benchmarks._common import BENCH_CACHE, BENCH_GRIDWORLD_SCALE, save_result
-from repro.core import experiments
+from benchmarks._common import BENCH_CACHE, BENCH_GRIDWORLD_SCALE, run_plan, save_result
+from repro.core.experiments.mitigation_experiments import (
+    inference_mitigation_plan,
+    training_mitigation_plan,
+)
 from repro.core.results import SweepResult
 from repro.core.workloads import build_gridworld_frl_system
 from repro.federated import AlphaSchedule, FederatedServer
 
 
-def test_ablation_anomaly_margin(benchmark):
+def test_ablation_anomaly_margin(benchmark, campaign_workers):
     """Detection margin: a tighter margin repairs more values but risks false alarms."""
 
     def run():
         series = {}
         for margin in (0.05, 0.10, 0.30):
-            result = experiments.inference_mitigation_sweep(
+            plan = inference_mitigation_plan(
                 "gridworld",
                 scale=BENCH_GRIDWORLD_SCALE,
                 ber_values=(0.01,),
@@ -28,6 +31,7 @@ def test_ablation_anomaly_margin(benchmark):
                 cache=BENCH_CACHE,
                 repeats=2,
             )
+            result = run_plan(plan, workers=campaign_workers)
             series[f"margin={margin}"] = [result.series["mitigation"][0]]
         return SweepResult(
             title="Ablation: anomaly-detection margin",
@@ -42,13 +46,13 @@ def test_ablation_anomaly_margin(benchmark):
     assert all(0.0 <= values[0] <= 100.0 for values in result.series.values())
 
 
-def test_ablation_checkpoint_interval(benchmark):
+def test_ablation_checkpoint_interval(benchmark, campaign_workers):
     """Checkpoint cadence: rarer checkpoints still recover, with staler state."""
 
     def run():
         series = {}
         for interval in (1, 5):
-            heatmap = experiments.training_mitigation_heatmap(
+            plan = training_mitigation_plan(
                 "gridworld",
                 "server",
                 scale=BENCH_GRIDWORLD_SCALE,
@@ -58,6 +62,7 @@ def test_ablation_checkpoint_interval(benchmark):
                 checkpoint_interval=interval,
                 cache=BENCH_CACHE,
             )
+            heatmap = run_plan(plan, workers=campaign_workers)
             series[f"every {interval} rounds"] = [float(heatmap.values[0, 0])]
         return SweepResult(
             title="Ablation: server checkpoint cadence",

@@ -35,7 +35,7 @@ def _plan():
     )
 
 
-def test_fig6a_drone_count_sweep(benchmark, campaign_workers, campaign_vectorize):
+def test_fig6a_drone_counts(benchmark, campaign_workers, campaign_vectorize):
     plan = _plan()
     result = benchmark.pedantic(
         run_plan,

@@ -5,22 +5,26 @@ from benchmarks._common import (
     BENCH_DRONE_SCALE,
     BENCH_GRIDWORLD_SCALE,
     GRIDWORLD_EPISODE_FRACTIONS,
+    run_plan,
     save_result,
 )
-from repro.core import experiments
+from repro.core.experiments.mitigation_experiments import training_mitigation_plan
 
 
-def test_fig7a_gridworld_checkpointing(benchmark):
+def test_fig7a_gridworld_checkpointing(benchmark, campaign_workers):
     result = benchmark.pedantic(
-        lambda: experiments.training_mitigation_heatmap(
-            "gridworld",
-            "server",
-            scale=BENCH_GRIDWORLD_SCALE,
-            ber_values=(0.0, 0.02),
-            episode_fractions=GRIDWORLD_EPISODE_FRACTIONS,
-            consecutive_episodes=4,
-            checkpoint_interval=3,
-            cache=BENCH_CACHE,
+        lambda: run_plan(
+            training_mitigation_plan(
+                "gridworld",
+                "server",
+                scale=BENCH_GRIDWORLD_SCALE,
+                ber_values=(0.0, 0.02),
+                episode_fractions=GRIDWORLD_EPISODE_FRACTIONS,
+                consecutive_episodes=4,
+                checkpoint_interval=3,
+                cache=BENCH_CACHE,
+            ),
+            workers=campaign_workers,
         ),
         rounds=1,
         iterations=1,
@@ -34,17 +38,20 @@ def test_fig7a_gridworld_checkpointing(benchmark):
     assert protected >= baseline * 0.5
 
 
-def test_fig7b_drone_checkpointing(benchmark):
+def test_fig7b_drone_checkpointing(benchmark, campaign_workers):
     result = benchmark.pedantic(
-        lambda: experiments.training_mitigation_heatmap(
-            "drone",
-            "server",
-            scale=BENCH_DRONE_SCALE,
-            ber_values=(0.0, 1e-1),
-            episode_fractions=(0.5,),
-            consecutive_episodes=1,
-            checkpoint_interval=1,
-            cache=BENCH_CACHE,
+        lambda: run_plan(
+            training_mitigation_plan(
+                "drone",
+                "server",
+                scale=BENCH_DRONE_SCALE,
+                ber_values=(0.0, 1e-1),
+                episode_fractions=(0.5,),
+                consecutive_episodes=1,
+                checkpoint_interval=1,
+                cache=BENCH_CACHE,
+            ),
+            workers=campaign_workers,
         ),
         rounds=1,
         iterations=1,

@@ -1,18 +1,27 @@
 """Fig. 8 — inference-time range-based anomaly detection (GridWorld & DroneNav)."""
 
-from benchmarks._common import BENCH_CACHE, BENCH_DRONE_SCALE, BENCH_GRIDWORLD_SCALE, save_result
+from benchmarks._common import (
+    BENCH_CACHE,
+    BENCH_DRONE_SCALE,
+    BENCH_GRIDWORLD_SCALE,
+    run_plan,
+    save_result,
+)
 from repro.analysis import check_improvement
-from repro.core import experiments
+from repro.core.experiments.mitigation_experiments import inference_mitigation_plan
 
 
-def test_fig8a_gridworld_anomaly_detection(benchmark):
+def test_fig8a_gridworld_anomaly_detection(benchmark, campaign_workers):
     result = benchmark.pedantic(
-        lambda: experiments.inference_mitigation_sweep(
-            "gridworld",
-            scale=BENCH_GRIDWORLD_SCALE,
-            ber_values=(0.0, 0.005, 0.01, 0.02),
-            cache=BENCH_CACHE,
-            repeats=3,
+        lambda: run_plan(
+            inference_mitigation_plan(
+                "gridworld",
+                scale=BENCH_GRIDWORLD_SCALE,
+                ber_values=(0.0, 0.005, 0.01, 0.02),
+                cache=BENCH_CACHE,
+                repeats=3,
+            ),
+            workers=campaign_workers,
         ),
         rounds=1,
         iterations=1,
@@ -28,14 +37,17 @@ def test_fig8a_gridworld_anomaly_detection(benchmark):
     assert faulty_mean_protected >= faulty_mean_plain
 
 
-def test_fig8b_drone_anomaly_detection(benchmark):
+def test_fig8b_drone_anomaly_detection(benchmark, campaign_workers):
     result = benchmark.pedantic(
-        lambda: experiments.inference_mitigation_sweep(
-            "drone",
-            scale=BENCH_DRONE_SCALE,
-            ber_values=(0.0, 1e-3, 1e-2),
-            cache=BENCH_CACHE,
-            repeats=2,
+        lambda: run_plan(
+            inference_mitigation_plan(
+                "drone",
+                scale=BENCH_DRONE_SCALE,
+                ber_values=(0.0, 1e-3, 1e-2),
+                cache=BENCH_CACHE,
+                repeats=2,
+            ),
+            workers=campaign_workers,
         ),
         rounds=1,
         iterations=1,

@@ -1,11 +1,11 @@
 """Fig. 9 — end-to-end overhead of detection vs DMR vs TMR on two drone platforms."""
 
 from benchmarks._common import save_result
-from repro.core import experiments
+from repro.core.experiments.overhead import overhead_plan
 
 
-def test_fig9_overhead_comparison(benchmark):
-    result = benchmark.pedantic(experiments.overhead_comparison, rounds=3, iterations=1)
+def test_fig9_overhead(benchmark):
+    result = benchmark.pedantic(lambda: overhead_plan().run_serial(), rounds=3, iterations=1)
     save_result("fig9", result)
     loss = {(row[0], row[1]): row[5] for row in result.rows}
     # Paper claims: the proposed detection scheme costs <2.7 % while TMR costs

@@ -1,12 +1,15 @@
 """Table I — standard deviation of the consensus policy vs swarm size."""
 
-from benchmarks._common import BENCH_GRIDWORLD_SCALE, save_result
-from repro.core import experiments
+from benchmarks._common import BENCH_GRIDWORLD_SCALE, run_plan, save_result
+from repro.core.experiments.gridworld_training import policy_std_plan
 
 
-def test_table1_policy_std(benchmark):
+def test_table1_policy_std(benchmark, campaign_workers):
     result = benchmark.pedantic(
-        lambda: experiments.policy_std_table(scale=BENCH_GRIDWORLD_SCALE, agent_counts=(1, 4, 8)),
+        lambda: run_plan(
+            policy_std_plan(scale=BENCH_GRIDWORLD_SCALE, agent_counts=(1, 4, 8)),
+            workers=campaign_workers,
+        ),
         rounds=1,
         iterations=1,
     )

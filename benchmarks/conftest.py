@@ -1,9 +1,9 @@
 """Benchmark harness options.
 
-``--workers N`` runs the campaign-decomposable benchmarks through the
-parallel :class:`repro.runtime.CampaignRunner` instead of the serial
-experiment functions.  ``N=0`` picks a machine-sized default; the merged
-results are byte-identical either way, only the wall clock changes.
+``--workers N`` runs the campaign benchmarks' plans on ``N`` processes of
+:class:`repro.runtime.CampaignRunner` (1 = serial).  ``N=0`` picks a
+machine-sized default; the merged results are byte-identical either way,
+only the wall clock changes.
 ``--vectorize auto|on|off`` picks the lockstep cell-group evaluation mode,
 under the same byte-identity contract.  The ``FRLFI_BENCH_WORKERS`` /
 ``FRLFI_BENCH_VECTORIZE`` environment variables are the equivalent knobs for

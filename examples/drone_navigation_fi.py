@@ -10,7 +10,8 @@ then measures the safe flight distance under server/agent faults and under
 the three fixed-point data types from the paper's data-type study.
 """
 
-from repro.core import DroneScale, experiments
+from repro.core import DroneScale
+from repro.core.experiments.drone_inference import datatype_study_plan
 from repro.core.pretrained import PolicyCache
 from repro.core.workloads import build_drone_frl_system
 from repro.core.fault_callbacks import make_training_fault
@@ -53,9 +54,9 @@ def main() -> None:
           f"{system.average_flight_distance(attempts=1):.0f} m")
 
     print("\nRunning the fixed-point data-type study (paper §IV-B-3)...")
-    datatypes = experiments.datatype_study(
+    datatypes = datatype_study_plan(
         scale=scale, ber_values=(0.0, 1e-3, 1e-2), cache=cache, repeats=1
-    )
+    ).run_serial()
     print(datatypes.render())
 
 

@@ -10,7 +10,9 @@ anomaly detection during inference — and prints the end-to-end overhead
 comparison against DMR/TMR from the drone performance model (Fig. 9).
 """
 
-from repro.core import GridWorldScale, experiments
+from repro.core import GridWorldScale
+from repro.core.experiments.mitigation_experiments import inference_mitigation_plan
+from repro.core.experiments.overhead import overhead_plan
 from repro.core.fault_callbacks import make_training_fault
 from repro.core.pretrained import PolicyCache
 from repro.core.workloads import build_gridworld_frl_system
@@ -42,17 +44,17 @@ def training_mitigation(scale: GridWorldScale) -> None:
 
 def inference_mitigation(scale: GridWorldScale, cache: PolicyCache) -> None:
     print("\n== Inference-time protection: range-based anomaly detection ==")
-    result = experiments.inference_mitigation_sweep(
+    result = inference_mitigation_plan(
         "gridworld", scale=scale, ber_values=(0.0, 0.01, 0.02), cache=cache, repeats=3
-    )
+    ).run_serial()
     print(result.render())
     print(f"  max improvement factor: {result.metadata['max_improvement_factor']:.2f}x "
           "(the paper reports up to 3.3x)")
 
 
-def overhead_comparison() -> None:
+def protection_overhead() -> None:
     print("\n== End-to-end overhead: detection vs DMR vs TMR (Fig. 9) ==")
-    print(experiments.overhead_comparison().render())
+    print(overhead_plan().run_serial().render())
 
 
 def main() -> None:
@@ -60,7 +62,7 @@ def main() -> None:
     cache = PolicyCache()
     training_mitigation(scale)
     inference_mitigation(scale, cache)
-    overhead_comparison()
+    protection_overhead()
 
 
 if __name__ == "__main__":

@@ -6,8 +6,9 @@ provides the full stack the paper's evaluation depends on -- a numpy neural
 network substrate, quantization codecs, a bit-level fault-injection engine,
 GridWorld and drone navigation environments, Q-learning / REINFORCE agents, a
 federated learning layer, the proposed mitigation schemes and an analytical
-drone performance model -- plus one experiment function per paper figure and
-table.  :class:`repro.runtime.CampaignRunner` runs any of them by id.
+drone performance model -- plus one campaign plan per paper figure and table
+(a cell function and a plan builder in :mod:`repro.core.experiments`).
+:class:`repro.runtime.CampaignRunner` runs any of them by id.
 
 Quickstart::
 

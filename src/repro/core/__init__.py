@@ -3,8 +3,8 @@
 This package ties the substrates together into the paper's experiments:
 experiment scales (fast CI-sized and paper-sized), the fault-injection
 training callback, workload builders for GridWorld and DroneNav FRL systems,
-a disk cache of pre-trained policies, and one experiment function per paper
-figure/table (see DESIGN.md §4 for the experiment index).
+a disk cache of pre-trained policies, and, in :mod:`repro.core.experiments`,
+the cell functions and plan builders of every paper figure/table.
 """
 
 from repro.core.config import DroneScale, GridWorldScale
@@ -17,8 +17,6 @@ from repro.core.workloads import (
     build_gridworld_single_system,
 )
 from repro.core.pretrained import PolicyCache, default_cache
-
-from repro.core import experiments
 
 __all__ = [
     "GridWorldScale",
@@ -33,5 +31,4 @@ __all__ = [
     "build_drone_single_system",
     "PolicyCache",
     "default_cache",
-    "experiments",
 ]

@@ -1,8 +1,8 @@
 """Experiment scales.
 
-Every experiment function takes a *scale* object describing the workload size
-(agents, episodes, evaluation attempts, repetition counts...).  Three presets
-are provided:
+The GridWorld and DroneNav plan builders take a *scale* object describing
+the workload size (agents, episodes, evaluation attempts, repetition
+counts...).  Three presets are provided:
 
 * ``tiny()``   — seconds-scale, used by the test suite,
 * ``fast()``   — tens-of-seconds scale, the default for the benchmark harness,

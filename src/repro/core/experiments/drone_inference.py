@@ -54,7 +54,14 @@ def datatype_study_plan(
     cache: Optional[PolicyCache] = None,
     repeats: int = 2,
 ) -> CampaignPlan:
-    """Decompose the data-type study into one cell per (BER, datatype, repeat)."""
+    """Inference resilience of fixed-point data types (paper §IV-B-3).
+
+    The policy weights are stored in each Q(sign, integer, fraction) format
+    and corrupted at increasing BER, one cell per (BER, datatype, repeat).  A
+    format whose range barely covers the parameter distribution (Q(1,4,11))
+    limits the damage a high-order bit flip can do, while an unnecessarily
+    wide format (Q(1,10,5)) produces large outliers.
+    """
     scale = scale or DroneScale.fast()
     cache = cache or default_cache()
     datatypes = tuple(datatypes)
@@ -98,22 +105,3 @@ def datatype_study_plan(
         )
 
     return CampaignPlan(experiment_id="datatypes", cells=cells, merge=merge)
-
-
-def datatype_study(
-    scale: Optional[DroneScale] = None,
-    datatypes: Sequence[str] = DEFAULT_DATATYPES,
-    ber_values: Sequence[float] = DEFAULT_DATATYPE_BERS,
-    cache: Optional[PolicyCache] = None,
-    repeats: int = 2,
-) -> SweepResult:
-    """Inference resilience of fixed-point data types (paper §IV-B-3).
-
-    The policy weights are stored in each Q(sign, integer, fraction) format
-    and corrupted at increasing BER; a format whose range barely covers the
-    parameter distribution (Q(1,4,11)) limits the damage a high-order bit flip
-    can do, while an unnecessarily wide format (Q(1,10,5)) produces large
-    outliers.  Implemented as the serial execution of
-    :func:`datatype_study_plan`.
-    """
-    return datatype_study_plan(scale, datatypes, ber_values, cache, repeats).run_serial()

@@ -84,12 +84,15 @@ def drone_training_plan(
     episode_fractions: Sequence[float] = DEFAULT_EPISODE_FRACTIONS,
     cache: Optional[PolicyCache] = None,
 ) -> CampaignPlan:
-    """Decompose a Fig. 5 heatmap into independent campaign cells.
+    """Safe flight distance over (BER × injection episode) during fine-tuning.
 
-    The behaviour-cloned baseline policy is trained (or found) in the
-    disk-backed policy cache once, at plan time; cells reference it by
-    :class:`~repro.runtime.residency.PolicyRef`, so each pooled worker decodes
-    it once instead of unpickling it per cell.
+    ``location`` selects the paper's panels: ``"agent"`` (Fig. 5a),
+    ``"server"`` (Fig. 5b) and ``"single"`` (Fig. 5c).  Fine-tuning starts
+    from the offline pre-trained policy, matching the paper's
+    transfer-learning setup.  The behaviour-cloned baseline policy is trained
+    (or found) in the disk-backed policy cache once, at plan time; cells
+    reference it by :class:`~repro.runtime.residency.PolicyRef`, so each
+    pooled worker decodes it once instead of unpickling it per cell.
     """
     scale = scale or DroneScale.fast()
     if location not in ("agent", "server", "single"):
@@ -140,23 +143,6 @@ def drone_training_plan(
     return CampaignPlan(experiment_id=experiment_id, cells=cells, merge=merge)
 
 
-def drone_training_heatmap(
-    location: str = "server",
-    scale: Optional[DroneScale] = None,
-    ber_values: Sequence[float] = DEFAULT_DRONE_BERS,
-    episode_fractions: Sequence[float] = DEFAULT_EPISODE_FRACTIONS,
-    cache: Optional[PolicyCache] = None,
-) -> HeatmapResult:
-    """Safe flight distance over (BER × injection episode) during fine-tuning.
-
-    ``location`` selects the paper's panels: ``"agent"`` (Fig. 5a),
-    ``"server"`` (Fig. 5b) and ``"single"`` (Fig. 5c).  Fine-tuning starts
-    from the offline pre-trained policy, matching the paper's transfer-learning
-    setup.  Implemented as the serial execution of :func:`drone_training_plan`.
-    """
-    return drone_training_plan(location, scale, ber_values, episode_fractions, cache).run_serial()
-
-
 def _count_cell_parts(
     scale: DroneScale, count: int, location: str, ber: float, ber_index: int, pretrained: dict
 ) -> tuple:
@@ -192,12 +178,15 @@ def drone_count_plan(
     ber_values: Sequence[float] = (0.0, 1e-2, 1e-1),
     cache: Optional[PolicyCache] = None,
 ) -> CampaignPlan:
-    """Decompose the Fig. 6a sweep into one cell per (count, location, BER).
+    """Flight distance vs BER per swarm size and fault location (Fig. 6a).
 
-    Every swarm size gets its own behaviour-cloned baseline, trained (or
-    found) in the policy cache at plan time and referenced from the cells, so
-    a pool spreads the per-point fine-tuning runs without ever retraining a
-    baseline in a worker.
+    One cell per (drone count, fault location, BER); the merge gives one
+    series per (drone count, fault location) pair.  More drones smooth agent
+    faults more strongly and generalize better under server faults.  Every
+    swarm size gets its own behaviour-cloned baseline, trained (or found) in
+    the policy cache at plan time and referenced from the cells, so a pool
+    spreads the per-point fine-tuning runs without ever retraining a baseline
+    in a worker.
     """
     scale = scale or DroneScale.fast()
     cache = cache or default_cache()
@@ -242,23 +231,6 @@ def drone_count_plan(
         )
 
     return CampaignPlan(experiment_id="fig6a", cells=cells, merge=merge)
-
-
-def drone_count_sweep(
-    scale: Optional[DroneScale] = None,
-    drone_counts: Sequence[int] = (2, 4, 6),
-    ber_values: Sequence[float] = (0.0, 1e-2, 1e-1),
-    cache: Optional[PolicyCache] = None,
-) -> SweepResult:
-    """Flight distance vs BER for different swarm sizes and fault locations.
-
-    Reproduces Fig. 6a: one series per (drone count, fault location) pair.
-    More drones smooth agent faults more strongly and generalize better under
-    server faults.  Implemented as the serial execution of
-    :func:`drone_count_plan`, so it matches the parallel campaign runner bit
-    for bit.
-    """
-    return drone_count_plan(scale, drone_counts, ber_values, cache).run_serial()
 
 
 _INTERVAL_SCENARIOS = ("no_fault", "agent_fault", "server_fault")
@@ -324,7 +296,14 @@ def communication_interval_plan(
     fault_ber: float = 1e-2,
     cache: Optional[PolicyCache] = None,
 ) -> CampaignPlan:
-    """Decompose the Fig. 6b study into one cell per (multiplier, scenario)."""
+    """Resilience / communication-cost trade-off of the interval (Fig. 6b).
+
+    The communication interval is multiplied by each factor after one third
+    of the fine-tuning episodes (the paper switches after the 2000th
+    episode).  One cell per (multiplier, scenario) measures the no-fault,
+    agent-fault or server-fault flight distance along with the number of
+    communication rounds.
+    """
     scale = scale or DroneScale.fast()
     cache = cache or default_cache()
     interval_multipliers = tuple(interval_multipliers)
@@ -374,23 +353,6 @@ def communication_interval_plan(
         )
 
     return CampaignPlan(experiment_id="fig6b", cells=cells, merge=merge)
-
-
-def communication_interval_study(
-    scale: Optional[DroneScale] = None,
-    interval_multipliers: Sequence[int] = (1, 2, 3),
-    fault_ber: float = 1e-2,
-    cache: Optional[PolicyCache] = None,
-) -> SweepResult:
-    """Resilience / communication-cost trade-off of the interval (Fig. 6b).
-
-    The communication interval is multiplied by each factor after one third of
-    the fine-tuning episodes (the paper switches after the 2000th episode).
-    For every multiplier the no-fault, agent-fault and server-fault flight
-    distances are measured along with the number of communication rounds.
-    Implemented as the serial execution of :func:`communication_interval_plan`.
-    """
-    return communication_interval_plan(scale, interval_multipliers, fault_ber, cache).run_serial()
 
 
 # ------------------------------------------------------------ vectorized groups

@@ -80,7 +80,15 @@ def gridworld_inference_plan(
     cache: Optional[PolicyCache] = None,
     repeats: int = 3,
 ) -> CampaignPlan:
-    """Decompose the Fig. 4 sweep into independent (BER, repeat) cells.
+    """Success rate vs BER for the paper's inference fault variants (Fig. 4).
+
+    * ``Multi-Trans-M``  — persistent memory fault in the unified FRL policy,
+    * ``Multi-Trans-1``  — register fault affecting a single action step,
+    * ``Single-Trans-M`` — persistent memory fault in the single-agent policy,
+    * ``Stuck-at-0`` / ``Stuck-at-1`` — persistent stuck-at faults in the FRL
+      policy (the Fig. 4 inset comparison).
+
+    One cell per (BER, repeat) evaluates every variant in order.
 
     The trained baselines are resolved through the disk-backed policy cache at
     plan time (training them once in the parent process); cells carry
@@ -135,24 +143,3 @@ def gridworld_inference_plan(
         )
 
     return CampaignPlan(experiment_id="fig4", cells=cells, merge=merge)
-
-
-def gridworld_inference_sweep(
-    scale: Optional[GridWorldScale] = None,
-    ber_values: Sequence[float] = DEFAULT_INFERENCE_BERS,
-    variants: Sequence[str] = DEFAULT_VARIANTS,
-    cache: Optional[PolicyCache] = None,
-    repeats: int = 3,
-) -> SweepResult:
-    """Success rate vs BER for the paper's inference fault variants (Fig. 4).
-
-    * ``Multi-Trans-M``  — persistent memory fault in the unified FRL policy,
-    * ``Multi-Trans-1``  — register fault affecting a single action step,
-    * ``Single-Trans-M`` — persistent memory fault in the single-agent policy,
-    * ``Stuck-at-0`` / ``Stuck-at-1`` — persistent stuck-at faults in the FRL
-      policy (the Fig. 4 inset comparison).
-
-    The sweep is the serial execution of :func:`gridworld_inference_plan`, so
-    it matches the parallel campaign runner bit for bit.
-    """
-    return gridworld_inference_plan(scale, ber_values, variants, cache, repeats).run_serial()

@@ -11,7 +11,6 @@ from repro.core.fault_callbacks import make_training_fault
 from repro.core.pretrained import PolicyCache, default_cache
 from repro.core.results import HeatmapResult, SweepResult, TableResult
 from repro.core.workloads import build_gridworld_frl_system, build_gridworld_single_system
-from repro.quant.bitstats import bit_breakdown
 from repro.quant.datatypes import resolve_datatype
 from repro.rl.policy import consensus_policy_std
 from repro.runtime.cells import CampaignPlan, CellTask, accumulate_heatmap, grid_merge_order
@@ -67,7 +66,13 @@ def gridworld_training_plan(
     ber_values: Sequence[float] = DEFAULT_BERS,
     episode_fractions: Sequence[float] = DEFAULT_EPISODE_FRACTIONS,
 ) -> CampaignPlan:
-    """Decompose a Fig. 3 heatmap into independent campaign cells."""
+    """Success rate over (BER × fault-injection episode) during FRL training.
+
+    ``location`` selects the paper's three panels: ``"agent"`` (Fig. 3a),
+    ``"server"`` (Fig. 3b) and ``"single"`` — the single-agent system with
+    the fault applied directly to its policy (Fig. 3c).  Each (repeat, BER,
+    injection episode) is one :func:`gridworld_training_cell`.
+    """
     scale = scale or GridWorldScale.fast()
     if location not in ("agent", "server", "single"):
         raise ValueError(f"location must be 'agent', 'server' or 'single', got {location!r}")
@@ -117,76 +122,104 @@ def gridworld_training_plan(
     return CampaignPlan(experiment_id=experiment_id, cells=cells, merge=merge)
 
 
-def gridworld_training_heatmap(
-    location: str = "server",
-    scale: Optional[GridWorldScale] = None,
-    ber_values: Sequence[float] = DEFAULT_BERS,
-    episode_fractions: Sequence[float] = DEFAULT_EPISODE_FRACTIONS,
-) -> HeatmapResult:
-    """Success rate over (BER × fault-injection episode) during FRL training.
+_CONVERGENCE_LOCATIONS = ("agent", "server")
 
-    ``location`` selects the paper's three panels: ``"agent"`` (Fig. 3a),
-    ``"server"`` (Fig. 3b) and ``"single"`` — the single-agent system with
-    the fault applied directly to its policy (Fig. 3c).  Internally the sweep
-    is the serial execution of :func:`gridworld_training_plan`, so its output
-    is bit-identical to the parallel campaign runner's.
+
+def convergence_cell(
+    scale: GridWorldScale,
+    location: str,
+    ber: float,
+    injection_episode: int,
+    recovery_success_rate: float,
+    evaluation_interval: int,
+    max_extra_episodes: int,
+) -> float:
+    """One (fault location, BER) chain of Fig. 3e: episodes until recovery.
+
+    A fault is injected at ``injection_episode``; training then continues and
+    the unified policy is evaluated every ``evaluation_interval`` episodes
+    until its success rate reaches ``recovery_success_rate`` or
+    ``max_extra_episodes`` run out.  Returns the total number of episodes
+    (training + recovery).  The chain is sequential, but it builds its own
+    system and draws its faults from a stream keyed by (location, BER), so
+    chains are independent cells.
     """
-    return gridworld_training_plan(location, scale, ber_values, episode_fractions).run_serial()
+    system = build_gridworld_frl_system(scale)
+    callback = make_training_fault(
+        location=location,
+        bit_error_rate=ber,
+        injection_episode=injection_episode,
+        datatype=scale.datatype,
+        rng=RngFactory(scale.seed).stream("conv", location, int(ber * 1e6)),
+    )
+    system.train(scale.episodes, callbacks=[callback])
+    extra = 0
+    while extra < max_extra_episodes:
+        success = system.average_success_rate(attempts=scale.evaluation_attempts)
+        if success >= recovery_success_rate:
+            break
+        system.train(evaluation_interval, start_episode=scale.episodes + extra)
+        extra += evaluation_interval
+    return float(scale.episodes + extra)
 
 
-def convergence_after_fault(
+def convergence_plan(
     scale: Optional[GridWorldScale] = None,
     ber_values: Sequence[float] = (0.005, 0.01, 0.02),
     injection_fraction: float = 0.9,
     recovery_success_rate: float = 0.96,
     evaluation_interval: int = 10,
     max_extra_episodes: Optional[int] = None,
-) -> SweepResult:
+) -> CampaignPlan:
     """Episodes needed to recover after a late fault (paper Fig. 3e).
 
-    A fault is injected near the end of training (default: the 90 % episode);
-    training then continues and the unified policy is evaluated every
-    ``evaluation_interval`` episodes until its success rate exceeds
-    ``recovery_success_rate``.  The reported value is the total number of
-    episodes (injection episode + recovery episodes), one series per fault
-    location.
+    The fault lands at ``injection_fraction`` of training (default: the 90 %
+    episode).  One :func:`convergence_cell` per fault location (agent, then
+    server) and BER; the merge gives one series per location.
     """
     scale = scale or GridWorldScale.fast()
+    ber_values = tuple(ber_values)
     max_extra_episodes = max_extra_episodes or scale.episodes
-    injection_episode = max(0, min(scale.episodes - 1, int(round(scale.episodes * injection_fraction))))
-    series = {"agent": [], "server": []}
-    for location in ("agent", "server"):
-        for ber in ber_values:
-            system = build_gridworld_frl_system(scale)
-            callback = make_training_fault(
-                location=location,
-                bit_error_rate=ber,
-                injection_episode=injection_episode,
-                datatype=scale.datatype,
-                rng=RngFactory(scale.seed).stream("conv", location, int(ber * 1e6)),
-            )
-            system.train(scale.episodes, callbacks=[callback])
-            episodes_to_converge = scale.episodes
-            extra = 0
-            while extra < max_extra_episodes:
-                success = system.average_success_rate(attempts=scale.evaluation_attempts)
-                if success >= recovery_success_rate:
-                    break
-                system.train(evaluation_interval, start_episode=scale.episodes + extra)
-                extra += evaluation_interval
-            episodes_to_converge += extra
-            series[location].append(float(episodes_to_converge))
-    return SweepResult(
-        title="Episodes to converge after late fault (Fig. 3e)",
-        metric="episodes",
-        x_axis="BER",
-        x_values=[f"{ber:.3%}" for ber in ber_values],
-        series=series,
-        metadata={
-            "injection_episode": injection_episode,
-            "recovery_success_rate": recovery_success_rate,
-        },
+    injection_episode = max(
+        0, min(scale.episodes - 1, int(round(scale.episodes * injection_fraction)))
     )
+    cells = [
+        CellTask(
+            experiment_id="fig3e",
+            key=("location", location, "ber", index),
+            fn=convergence_cell,
+            kwargs={
+                "scale": scale,
+                "location": location,
+                "ber": ber,
+                "injection_episode": injection_episode,
+                "recovery_success_rate": recovery_success_rate,
+                "evaluation_interval": evaluation_interval,
+                "max_extra_episodes": max_extra_episodes,
+            },
+        )
+        for location in _CONVERGENCE_LOCATIONS
+        for index, ber in enumerate(ber_values)
+    ]
+
+    def merge(outputs):
+        count = len(ber_values)
+        return SweepResult(
+            title="Episodes to converge after late fault (Fig. 3e)",
+            metric="episodes",
+            x_axis="BER",
+            x_values=[f"{ber:.3%}" for ber in ber_values],
+            series={
+                location: list(outputs[position * count : (position + 1) * count])
+                for position, location in enumerate(_CONVERGENCE_LOCATIONS)
+            },
+            metadata={
+                "injection_episode": injection_episode,
+                "recovery_success_rate": recovery_success_rate,
+            },
+        )
+
+    return CampaignPlan(experiment_id="fig3e", cells=cells, merge=merge)
 
 
 def policy_std_cell(scale: GridWorldScale, agent_count: int) -> list:
@@ -230,14 +263,6 @@ def policy_std_plan(
         )
 
     return CampaignPlan(experiment_id="table1", cells=cells, merge=merge)
-
-
-def policy_std_table(
-    scale: Optional[GridWorldScale] = None,
-    agent_counts: Sequence[int] = (1, 4, 8, 12),
-) -> TableResult:
-    """Standard deviation of the consensus policy (paper Table I)."""
-    return policy_std_plan(scale, agent_counts).run_serial()
 
 
 def weight_bits_cell(consensus: dict, names: Optional[list], datatype: str) -> list:
@@ -314,35 +339,3 @@ def weight_distribution_plan(
         )
 
     return CampaignPlan(experiment_id="fig3d", cells=cells, merge=merge)
-
-
-def weight_distribution(
-    scale: Optional[GridWorldScale] = None,
-    datatype: Optional[str] = None,
-    consensus: Optional[dict] = None,
-) -> TableResult:
-    """Weight range and 0/1 bit breakdown of the trained policy (Fig. 3d).
-
-    ``consensus`` may carry an already-trained policy state dict (e.g. from
-    the policy cache); otherwise a fresh FRL system is trained at ``scale``.
-    """
-    scale = scale or GridWorldScale.fast()
-    datatype = datatype or scale.datatype
-    if consensus is None:
-        system = build_gridworld_frl_system(scale)
-        system.train(scale.episodes)
-        consensus = system.consensus_state()
-    breakdown = bit_breakdown(consensus, datatype=datatype)
-    rows = [
-        ["min weight", breakdown.min_value],
-        ["max weight", breakdown.max_value],
-        ["0 bits (%)", breakdown.zero_bit_fraction * 100.0],
-        ["1 bits (%)", breakdown.one_bit_fraction * 100.0],
-        ["total bits", float(breakdown.total_bits)],
-    ]
-    return TableResult(
-        title=f"Policy weight distribution under {datatype} storage (Fig. 3d)",
-        headers=["quantity", "value"],
-        rows=rows,
-        metadata={"datatype": datatype},
-    )

@@ -50,6 +50,8 @@ def flight_distance_over_envs(
     """Average DroneNav safe flight distance over ``envs`` with a greedy policy."""
     from repro.rl.rollout import evaluate_flight_distance
 
+    if not envs:
+        raise ValueError("flight_distance_over_envs needs at least one environment")
     distances = [
         evaluate_flight_distance(agent, env, attempts=attempts_per_env) for env in envs
     ]

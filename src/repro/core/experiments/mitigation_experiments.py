@@ -87,7 +87,14 @@ def training_mitigation_plan(
     checkpoint_interval: int = 5,
     cache: Optional[PolicyCache] = None,
 ) -> CampaignPlan:
-    """Decompose a Fig. 7 checkpoint-recovery heatmap into campaign cells."""
+    """Training-time fault recovery with server checkpointing (paper Fig. 7).
+
+    The same (repeat, BER, injection episode) cells as the unprotected
+    training heatmaps, but a :class:`ServerCheckpointCallback` monitors
+    reward drops and restores the checkpointed consensus policy.
+    ``consecutive_episodes`` (the paper's ``k``) defaults to a value
+    proportional to the scaled-down episode count.
+    """
     if workload not in ("gridworld", "drone"):
         raise ValueError(f"workload must be 'gridworld' or 'drone', got {workload!r}")
     if location not in ("agent", "server"):
@@ -160,37 +167,6 @@ def training_mitigation_plan(
     return CampaignPlan(experiment_id=experiment_id, cells=cells, merge=merge)
 
 
-def training_mitigation_heatmap(
-    workload: str = "gridworld",
-    location: str = "server",
-    scale=None,
-    ber_values: Optional[Sequence[float]] = None,
-    episode_fractions: Sequence[float] = DEFAULT_EPISODE_FRACTIONS,
-    drop_percent: float = 25.0,
-    consecutive_episodes: Optional[int] = None,
-    checkpoint_interval: int = 5,
-    cache: Optional[PolicyCache] = None,
-) -> HeatmapResult:
-    """Training-time fault recovery with server checkpointing (paper Fig. 7).
-
-    Identical sweep to the unprotected training heatmaps, but the
-    :class:`ServerCheckpointCallback` monitors reward drops and restores the
-    checkpointed consensus policy.  ``consecutive_episodes`` (the paper's
-    ``k``) defaults to a value proportional to the scaled-down episode count.
-    """
-    return training_mitigation_plan(
-        workload,
-        location,
-        scale,
-        ber_values,
-        episode_fractions,
-        drop_percent,
-        consecutive_episodes,
-        checkpoint_interval,
-        cache,
-    ).run_serial()
-
-
 def inference_mitigation_cell(
     workload: str,
     scale,
@@ -240,7 +216,14 @@ def inference_mitigation_plan(
     cache: Optional[PolicyCache] = None,
     repeats: int = 3,
 ) -> CampaignPlan:
-    """Decompose a Fig. 8 anomaly-detection sweep into campaign cells."""
+    """Range-based anomaly detection during inference (paper Fig. 8).
+
+    The detector is calibrated on the clean trained policy; each (BER,
+    repeat) cell evaluates the corrupted policy with and without the repair
+    step.  The metadata records the largest mitigation/no-mitigation
+    improvement factor (the paper reports up to 3.3× for GridWorld and 1.4×
+    for DroneNav).
+    """
     if workload not in ("gridworld", "drone"):
         raise ValueError(f"workload must be 'gridworld' or 'drone', got {workload!r}")
     cache = cache or default_cache()
@@ -302,23 +285,3 @@ def inference_mitigation_plan(
         return result
 
     return CampaignPlan(experiment_id=experiment_id, cells=cells, merge=merge)
-
-
-def inference_mitigation_sweep(
-    workload: str = "gridworld",
-    scale=None,
-    ber_values: Optional[Sequence[float]] = None,
-    margin: float = 0.10,
-    cache: Optional[PolicyCache] = None,
-    repeats: int = 3,
-) -> SweepResult:
-    """Range-based anomaly detection during inference (paper Fig. 8).
-
-    The detector is calibrated on the clean trained policy; for each BER the
-    corrupted policy is evaluated with and without the repair step.  The
-    metadata records the largest mitigation/no-mitigation improvement factor
-    (the paper reports up to 3.3× for GridWorld and 1.4× for DroneNav).
-    """
-    return inference_mitigation_plan(
-        workload, scale, ber_values, margin, cache, repeats
-    ).run_serial()

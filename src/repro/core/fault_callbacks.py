@@ -134,7 +134,7 @@ def make_training_fault(
     datatype: str = "int8",
     rng=None,
 ) -> TrainingFaultCallback:
-    """Convenience constructor used by the experiment functions."""
+    """Convenience constructor used by the training cell functions."""
     spec = FaultSpec(
         location=location,
         target=target,

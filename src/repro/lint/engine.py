@@ -16,7 +16,7 @@ import ast
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.lint.config import LintConfig
 from repro.lint.pragmas import MALFORMED_PRAGMA_ID, Pragma, parse_pragmas

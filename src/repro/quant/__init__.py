@@ -10,7 +10,6 @@ output is exactly a bit flip in the modelled memory or communication channel.
 from repro.quant.fixedpoint import FixedPointFormat, Q1_2_5, Q1_3_4, Q1_4_11, Q1_7_8, Q1_10_5
 from repro.quant.int8 import Int8AffineCodec, QuantizedTensor
 from repro.quant.datatypes import DataType, resolve_datatype, DATATYPE_REGISTRY
-from repro.quant.bitstats import bit_breakdown, BitBreakdown
 
 __all__ = [
     "FixedPointFormat",
@@ -24,6 +23,4 @@ __all__ = [
     "DataType",
     "resolve_datatype",
     "DATATYPE_REGISTRY",
-    "bit_breakdown",
-    "BitBreakdown",
 ]

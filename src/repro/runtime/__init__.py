@@ -19,7 +19,6 @@ from repro.runtime.residency import PolicyRef, resolve_policy_ref
 _LAZY_EXPORTS = {
     "CampaignContext": "repro.runtime.plans",
     "build_plan": "repro.runtime.plans",
-    "decomposed_experiment_ids": "repro.runtime.plans",
     "plannable_experiment_ids": "repro.runtime.plans",
     "CampaignError": "repro.runtime.runner",
     "CampaignRunner": "repro.runtime.runner",

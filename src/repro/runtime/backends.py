@@ -101,6 +101,18 @@ def render_shell_command(argv: Sequence[str]) -> str:
 
 
 # ------------------------------------------------------------------- handles
+def _close_transport(process: asyncio.subprocess.Process) -> None:
+    """Close ``process``'s transport now, killing the process if it still runs.
+
+    asyncio closes a subprocess transport by itself only once it has seen the
+    exit *and* EOF on every pipe; one still open when its event loop closes
+    raises ``RuntimeError: Event loop is closed`` from its finalizer.  Closing
+    an already-closed transport is a no-op.  ``Process`` keeps its transport
+    private.
+    """
+    process._transport.close()
+
+
 class ShardLaunch(abc.ABC):
     """One in-flight shard attempt, as the orchestrator sees it.
 
@@ -170,13 +182,28 @@ class _ProcessLaunch(ShardLaunch):
                 pass
 
     async def stderr(self) -> str:
-        """The subprocess's full stderr, decoded."""
-        data = await asyncio.gather(self._stderr_task, return_exceptions=True)
-        return data[0].decode("utf8", errors="replace") if isinstance(data[0], bytes) else ""
+        """The subprocess's full stderr, decoded.
+
+        ``asyncio.wait`` never cancels what it waits for, so a cancelled
+        caller leaves the drain reading to EOF for the next caller.
+        """
+        await asyncio.wait({self._stderr_task})
+        task = self._stderr_task
+        if task.cancelled() or task.exception() is not None:
+            return ""
+        return task.result().decode("utf8", errors="replace")
 
     async def close(self) -> None:
-        """Reap the subprocess and its stderr pipe; never raises."""
-        await asyncio.gather(self._process.wait(), self._stderr_task, return_exceptions=True)
+        """Reap the subprocess and its stderr pipe, then close its transport.
+
+        A cancelled caller still closes the transport (see
+        :func:`_close_transport`); nothing else is raised.
+        """
+        try:
+            await self._process.wait()
+            await asyncio.wait({self._stderr_task})
+        finally:
+            _close_transport(self._process)
 
 
 # ------------------------------------------------------------------ backends
@@ -417,7 +444,11 @@ async def run_command(argv: Sequence[str], *, env: Optional[dict] = None) -> Tup
         stderr=asyncio.subprocess.PIPE,
         env=env,
     )
-    stdout, stderr = await process.communicate()
+    try:
+        stdout, stderr = await process.communicate()
+    finally:
+        # A command cancelled mid-run is killed, not left to outlive the loop.
+        _close_transport(process)
     return (
         process.returncode,
         stdout.decode("utf8", errors="replace"),

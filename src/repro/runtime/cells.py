@@ -3,9 +3,9 @@
 A paper artifact (``fig3a`` ... ``fig9``, ``table1``) is a grid of independent
 (figure, BER, fault location, seed) measurements.  The runtime layer expresses
 each artifact as a :class:`CampaignPlan`: a list of :class:`CellTask` items —
-each a picklable, module-level function plus keyword arguments — and a merge
-function that folds the per-cell outputs (in cell order) back into the
-experiment's result object.
+each a picklable, module-level function plus keyword arguments that returns a
+JSON-native output — and a merge function that folds the per-cell outputs (in
+cell order) into the artifact's result object.
 
 Because every cell derives its random streams from keyed
 ``numpy.random.SeedSequence`` children (via :class:`repro.utils.rng.RngFactory`
@@ -75,7 +75,11 @@ class CampaignPlan:
         return len(self.cells)
 
     def run_serial(self):
-        """Execute the plan in-process, in order (the bit-identical fallback)."""
+        """Run every cell in-process, in plan order, and merge.
+
+        The reference execution: :class:`~repro.runtime.runner.CampaignRunner`
+        produces the same payload on any pool, shard split or resume.
+        """
         return self.merge([cell.run() for cell in self.cells])
 
 
@@ -116,17 +120,6 @@ def shard_cell_indices(shard_index: int, shard_count: int, cell_count: int) -> L
     if cell_count < 0:
         raise ValueError(f"cell count must be non-negative, got {cell_count}")
     return list(range(shard_index - 1, cell_count, shard_count))
-
-
-def single_cell_plan(experiment_id: str, fn: Callable, kwargs: Dict) -> CampaignPlan:
-    """Wrap a whole experiment function as a one-cell plan.
-
-    Fallback for artifacts without a finer-grained decomposition: the
-    experiment still runs through the same executor (and off the main process
-    when a pool is available), it just cannot spread across workers.
-    """
-    cell = CellTask(experiment_id=experiment_id, key=("all",), fn=fn, kwargs=kwargs)
-    return CampaignPlan(experiment_id=experiment_id, cells=[cell], merge=lambda outputs: outputs[0])
 
 
 def grid_merge_order(repeats: int, rows: int, columns: int) -> List[Tuple[int, int, int]]:

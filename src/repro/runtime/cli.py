@@ -52,7 +52,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.runtime.cells import derive_cell_seeds
-from repro.runtime.plans import decomposed_experiment_ids, plannable_experiment_ids
+from repro.runtime.plans import plannable_experiment_ids
 from repro.runtime.request import (
     SCALE_PRESETS,
     CampaignRequest,
@@ -164,10 +164,7 @@ _OPTIONS = {
         metavar="PATH",
         help="the daemon's Unix socket (serve default: <journal-dir>/service.sock)",
     ),
-    "experiment": dict(
-        help="artifact identifier (e.g. fig6a; orchestrate needs one that "
-        "decomposes into more than one cell)"
-    ),
+    "experiment": dict(help="artifact identifier (e.g. fig6a)"),
     "--dry-run": dict(
         action="store_true",
         help="print what would run (shard->backend assignment and commands, or "
@@ -1038,10 +1035,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(arguments)
 
     if args.list:
-        decomposed = set(decomposed_experiment_ids())
         for experiment_id in plannable_experiment_ids():
-            kind = "parallel" if experiment_id in decomposed else "single-cell"
-            print(f"{experiment_id:12s} {kind}")
+            print(experiment_id)
         return 0
 
     if not args.experiments:
@@ -1114,17 +1109,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 # Plan building can fail too (corrupt cache entries, baseline
                 # training errors), so it sits inside the per-artifact guard.
                 plan = runner.plan(experiment_id)
-                if (shard is not None or args.merge_only) and plan.cell_count <= 1:
-                    # Single-cell plans (fig3e, fig9) have no journal and
-                    # nothing to partition; skip them so `all --shard k/n`
-                    # stays usable, instead of failing every machine.
-                    print(
-                        f"[repro-campaign] {label}: SKIPPED — single-cell plans "
-                        "cannot be sharded or shard-merged; run this artifact "
-                        "without --shard/--merge-only",
-                        flush=True,
-                    )
-                    continue
                 if args.merge_only:
                     print(
                         f"[repro-campaign] {label}: merging shard journals "

@@ -446,11 +446,6 @@ class ShardOrchestrator:
             for backend in self.backends:
                 backend.prepare(self.journal_dir)
         plan = self.plan
-        if plan.cell_count <= 1:
-            raise OrchestratorError(
-                f"{self.experiment_id!r} is a single-cell plan and cannot be "
-                "sharded or orchestrated; run it directly instead"
-            )
         if self.shard_count > plan.cell_count:
             self._emit(
                 f"note: {self.shard_count} shards over {plan.cell_count} cells — "
@@ -648,11 +643,14 @@ class ShardOrchestrator:
             # Never orphan a shard: on cancellation (Ctrl+C) or any monitor
             # error, the attempt dies with the orchestrator.  close() awaits
             # (rather than cancels) the backend's reaping, so killed children
-            # and their pipes are collected cleanly.
+            # and their pipes are collected cleanly, and it runs even when a
+            # second cancellation interrupts the wait.
             if not launch.finished:
                 launch.kill()
-            await asyncio.gather(wait_task, return_exceptions=True)
-            await launch.close()
+            try:
+                await asyncio.gather(wait_task, return_exceptions=True)
+            finally:
+                await launch.close()
         duration = time.monotonic() - started
         cells = progress.poll()
         if tracking_error is not None:

@@ -1,13 +1,11 @@
 """Campaign plan builders for every registered paper artifact.
 
 :func:`build_plan` maps an experiment identifier (``fig3a`` ... ``fig9``,
-``table1``) to a :class:`~repro.runtime.cells.CampaignPlan`.  Every artifact
-with independent units of work decomposes into many cells (the heatmaps, the
-inference sweeps, the swarm-size/interval/data-type studies, the per-parameter
-Fig. 3d bit breakdown, Table I); only the inherently sequential Fig. 3e
-convergence loop and the static Fig. 9 table fall back to a single-cell plan
-that runs the whole experiment function — still off the main process when a
-pool is available, just not spread across workers.
+``table1``) to a :class:`~repro.runtime.cells.CampaignPlan` of independent
+cells whose outputs are JSON-native and whose merge builds the result: the
+heatmaps and sweeps, the per-parameter Fig. 3d bit breakdown, the
+per-(location, BER) Fig. 3e recovery chains, the per-platform Fig. 9 table,
+Table I, and the swarm-size/interval/data-type studies.
 
 This module is the single source of truth for artifact parameters:
 :class:`~repro.runtime.runner.CampaignRunner`, the one driver of paper
@@ -28,7 +26,7 @@ from repro.core.experiments.drone_training import (
 )
 from repro.core.experiments.gridworld_inference import gridworld_inference_plan
 from repro.core.experiments.gridworld_training import (
-    convergence_after_fault,
+    convergence_plan,
     gridworld_training_plan,
     policy_std_plan,
     weight_distribution_plan,
@@ -37,9 +35,9 @@ from repro.core.experiments.mitigation_experiments import (
     inference_mitigation_plan,
     training_mitigation_plan,
 )
-from repro.core.experiments.overhead import overhead_comparison
+from repro.core.experiments.overhead import overhead_plan
 from repro.core.pretrained import PolicyCache, default_cache
-from repro.runtime.cells import CampaignPlan, single_cell_plan
+from repro.runtime.cells import CampaignPlan
 
 
 @dataclass
@@ -65,14 +63,7 @@ class CampaignContext:
         )
 
 
-def run_whole_experiment(experiment_id: str, gridworld_scale: GridWorldScale):
-    """Run one artifact without a cell decomposition end to end (the fallback cell body)."""
-    if experiment_id == "fig3e":
-        return convergence_after_fault(scale=gridworld_scale)
-    return overhead_comparison()
-
-
-_DECOMPOSED_BUILDERS: Dict[str, Callable[[CampaignContext], CampaignPlan]] = {
+_BUILDERS: Dict[str, Callable[[CampaignContext], CampaignPlan]] = {
     "fig3a": lambda ctx: gridworld_training_plan("agent", scale=ctx.gridworld_scale),
     "fig3b": lambda ctx: gridworld_training_plan("server", scale=ctx.gridworld_scale),
     "fig3c": lambda ctx: gridworld_training_plan("single", scale=ctx.gridworld_scale),
@@ -95,42 +86,27 @@ _DECOMPOSED_BUILDERS: Dict[str, Callable[[CampaignContext], CampaignPlan]] = {
         "drone", scale=ctx.drone_scale, cache=ctx.cache
     ),
     "fig3d": lambda ctx: weight_distribution_plan(scale=ctx.gridworld_scale, cache=ctx.cache),
+    "fig3e": lambda ctx: convergence_plan(scale=ctx.gridworld_scale),
     # The canonical Fig. 6a swarm sizes at reproduction scale.
     "fig6a": lambda ctx: drone_count_plan(
         scale=ctx.drone_scale, drone_counts=(2, 4), cache=ctx.cache
     ),
     "fig6b": lambda ctx: communication_interval_plan(scale=ctx.drone_scale, cache=ctx.cache),
     "datatypes": lambda ctx: datatype_study_plan(scale=ctx.drone_scale, cache=ctx.cache),
+    "fig9": lambda ctx: overhead_plan(),
 }
-
-# Artifacts without a finer decomposition, which run as one cell each:
-# fig3e is inherently sequential (each extra-training round of the
-# convergence loop depends on the previous evaluation), and fig9 is a cheap
-# static comparison table.
-_FALLBACK_IDS = ("fig3e", "fig9")
-
-
-def decomposed_experiment_ids() -> list:
-    """Identifiers with a true multi-cell decomposition."""
-    return sorted(_DECOMPOSED_BUILDERS)
 
 
 def plannable_experiment_ids() -> list:
     """Every identifier :func:`build_plan` accepts."""
-    return sorted(set(_DECOMPOSED_BUILDERS) | set(_FALLBACK_IDS))
+    return sorted(_BUILDERS)
 
 
 def build_plan(experiment_id: str, context: CampaignContext) -> CampaignPlan:
     """Build the campaign plan for ``experiment_id``."""
-    builder = _DECOMPOSED_BUILDERS.get(experiment_id)
-    if builder is not None:
-        return builder(context)
-    if experiment_id in _FALLBACK_IDS:
-        return single_cell_plan(
-            experiment_id,
-            run_whole_experiment,
-            {"experiment_id": experiment_id, "gridworld_scale": context.gridworld_scale},
+    builder = _BUILDERS.get(experiment_id)
+    if builder is None:
+        raise KeyError(
+            f"unknown experiment {experiment_id!r}; available: {plannable_experiment_ids()}"
         )
-    raise KeyError(
-        f"unknown experiment {experiment_id!r}; available: {plannable_experiment_ids()}"
-    )
+    return builder(context)

@@ -3,8 +3,7 @@
 :class:`CampaignRunner` executes campaign plans on a ``concurrent.futures``
 process pool.  Cells are submitted in plan order and their outputs merged in
 plan order, so a pool of any size produces byte-identical result payloads to
-the serial fallback (``workers=1``), which in turn is the exact code path the
-experiment functions themselves run.
+the serial in-process run (``workers=1``, :meth:`CampaignPlan.run_serial`).
 
 Three scaling features layer on top of the basic fan-out:
 
@@ -162,7 +161,7 @@ class CampaignRunner:
     """Decompose registered artifacts into cells and run them on a pool.
 
     ``workers=1`` (the default) executes every plan serially in-process and is
-    bit-identical to calling the experiment functions directly;
+    bit-identical to :meth:`~repro.runtime.cells.CampaignPlan.run_serial`;
     ``workers=N`` fans the cells out over ``N`` processes and merges the
     outputs in deterministic plan order, so the result payloads are identical
     to the serial run's.
@@ -218,15 +217,11 @@ class CampaignRunner:
     def journal_for(self, plan: CampaignPlan, name: Optional[str] = None):
         """The streaming journal for ``plan`` under ``journal_dir`` (or None).
 
-        Single-cell plans are not journaled: their only cell either completed
-        (the run finished) or did not, so there is nothing to resume — and
-        fallback cells return result objects rather than JSON-native values.
-
         With a ``shard`` configured the journal is the shard journal
         (``<label>.shard-k-of-n.jsonl``) and its header records the shard
         coordinates, so whole-plan and shard journals can never be confused.
         """
-        if self.journal_dir is None or plan.cell_count <= 1:
+        if self.journal_dir is None:
             return None
         label = name or plan.experiment_id
         if self.shard is not None:
@@ -254,8 +249,7 @@ class CampaignRunner:
     def run_plan(self, plan: CampaignPlan, journal: Optional[CampaignJournal] = None):
         """Execute an explicit plan through the configured executor.
 
-        With ``workers > 1`` every plan goes through the pool — including
-        single-cell fallback plans, which then run off the main process.
+        With ``workers > 1`` every plan goes through the pool.
         With a ``journal``, completed cell outputs stream to disk as they
         arrive, and ``resume=True`` skips cells the journal already holds;
         merge inputs then come from their JSON-decoded form in both the
@@ -293,8 +287,7 @@ class CampaignRunner:
         if journal is None:
             raise CampaignError(
                 f"sharded execution of {plan.experiment_id!r} requires a streaming "
-                "journal: configure journal_dir (CLI: --journal-dir or --output), and "
-                "note that single-cell plans cannot be sharded — run them unsharded"
+                "journal: configure journal_dir (CLI: --journal-dir or --output)"
             )
         assigned = self.shard.cell_indices(plan.cell_count)
         completed = journal.load() if self.resume else {}

@@ -10,7 +10,6 @@ from repro.utils.rng import RngFactory, as_rng, spawn_rngs
 from repro.utils.bitops import (
     count_ones,
     flip_bits,
-    one_bit_fraction,
     random_bit_positions,
     set_bits,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "spawn_rngs",
     "count_ones",
     "flip_bits",
-    "one_bit_fraction",
     "random_bit_positions",
     "set_bits",
     "Table",

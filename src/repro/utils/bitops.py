@@ -120,15 +120,6 @@ def count_ones(codes: np.ndarray, bit_width: int) -> int:
     return int(np.bitwise_count(flat).sum(dtype=np.int64))
 
 
-def one_bit_fraction(codes: np.ndarray, bit_width: int) -> float:
-    """Fraction of storage bits that are 1 — Fig. 3d's bit breakdown."""
-    flat = np.ascontiguousarray(codes).reshape(-1)
-    total_bits = flat.size * bit_width
-    if total_bits == 0:
-        return 0.0
-    return count_ones(flat, bit_width) / total_bits
-
-
 def random_bit_positions(
     rng: np.random.Generator, count: int, bit_width: int
 ) -> np.ndarray:
@@ -156,4 +147,3 @@ def faults_for_ber(total_bits: int, bit_error_rate: float, rng: np.random.Genera
     if expected > 30:
         return int(round(expected))
     return int(rng.binomial(total_bits, bit_error_rate))
-

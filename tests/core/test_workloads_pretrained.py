@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.config import DroneScale, GridWorldScale
+from repro.core.config import GridWorldScale
 from repro.core.pretrained import PolicyCache
 from repro.core.workloads import (
     build_drone_frl_system,

@@ -1,7 +1,5 @@
 """End-to-end integration tests across the full FRL-FI stack."""
 
-from repro.core import experiments
-from repro.core.config import GridWorldScale
 from repro.core.fault_callbacks import make_training_fault
 from repro.core.workloads import (
     build_drone_frl_system,
@@ -9,6 +7,7 @@ from repro.core.workloads import (
     gridworld_environments,
 )
 from repro.core.experiments.inference_utils import gridworld_agent_with_state, success_rate_over_envs
+from repro.core.experiments.overhead import overhead_plan
 from repro.faults import FaultInjector
 from repro.mitigation import RangeAnomalyDetector, ServerCheckpointCallback
 
@@ -83,7 +82,7 @@ class TestDroneEndToEnd:
 
 class TestObservationChecks:
     def test_fig9_observations_hold(self):
-        result = experiments.overhead_comparison()
+        result = overhead_plan().run_serial()
         loss = {(row[0], row[1]): row[5] for row in result.rows}
         # The proposed detection scheme is the cheapest protection everywhere,
         # and redundancy hurts the micro-UAV far more than the mini-UAV.

@@ -6,7 +6,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.quant import Int8AffineCodec, resolve_datatype
 from repro.quant.fixedpoint import FixedPointFormat
-from repro.utils.bitops import count_ones, flip_bits, one_bit_fraction, set_bits
+from repro.utils.bitops import count_ones, flip_bits, set_bits
 
 SMALL_FLOATS = hnp.arrays(
     dtype=np.float64,
@@ -64,10 +64,9 @@ def test_stuck_at_bounds_one_count(values, data):
 
 @settings(max_examples=50, deadline=None)
 @given(values=SMALL_FLOATS)
-def test_one_bit_fraction_in_unit_interval(values):
+def test_count_ones_within_storage_bits(values):
     codes = values.astype(np.int64)
-    fraction = one_bit_fraction(codes, 16)
-    assert 0.0 <= fraction <= 1.0
+    assert 0 <= count_ones(codes, 16) <= codes.size * 16
 
 
 @settings(max_examples=40, deadline=None)

@@ -34,6 +34,7 @@ from repro.runtime.backends import (
     render_k8s_manifest,
     render_shell_command,
     render_slurm_script,
+    run_command,
     shard_argv,
 )
 
@@ -200,6 +201,75 @@ class TestLocalProcessBackend:
             return returncode
 
         assert _run(scenario()) != 0
+
+
+def _transport(process):
+    """The asyncio transport behind ``process`` (``Process`` keeps it private)."""
+    return process._transport
+
+
+class TestSubprocessTransportClosure:
+    """Every subprocess transport is closed on every path, cancellations
+    included: one still open when its event loop closes raises ``RuntimeError:
+    Event loop is closed`` from its finalizer, long after the test that
+    spawned it."""
+
+    def test_cancelled_close_still_closes_the_transport(self):
+        async def scenario():
+            launch = await LocalProcessBackend().launch(
+                [sys.executable, "-c", "import time; time.sleep(30)"]
+            )
+            launch.kill()
+            closing = asyncio.ensure_future(launch.close())
+            await asyncio.sleep(0)
+            closing.cancel()
+            await asyncio.gather(closing, return_exceptions=True)
+            closed = _transport(launch._process).is_closing()
+            # Let the loop record the exit before it closes.
+            await asyncio.wait_for(launch.wait(), timeout=10)
+            return closed
+
+        assert _run(scenario())
+
+    def test_cancelled_stderr_read_keeps_draining(self):
+        script = "import sys, time; time.sleep(0.2); sys.stderr.write('late line')"
+
+        async def scenario():
+            launch = await LocalProcessBackend().launch([sys.executable, "-c", script])
+            reading = asyncio.ensure_future(launch.stderr())
+            await asyncio.sleep(0)
+            reading.cancel()
+            await asyncio.gather(reading, return_exceptions=True)
+            await launch.wait()
+            text = await launch.stderr()
+            await launch.close()
+            return text, _transport(launch._process).is_closing()
+
+        assert _run(scenario()) == ("late line", True)
+
+    def test_cancelled_command_is_killed_and_closed(self, monkeypatch):
+        processes = []
+        spawn = asyncio.create_subprocess_exec
+
+        async def recording_spawn(*args, **kwargs):
+            processes.append(await spawn(*args, **kwargs))
+            return processes[-1]
+
+        monkeypatch.setattr(asyncio, "create_subprocess_exec", recording_spawn)
+
+        async def scenario():
+            command = asyncio.ensure_future(
+                run_command([sys.executable, "-c", "import time; time.sleep(30)"])
+            )
+            while not processes:
+                await asyncio.sleep(0.01)
+            command.cancel()
+            await asyncio.gather(command, return_exceptions=True)
+            closed = _transport(processes[0]).is_closing()
+            # The command was killed: its exit arrives well before its sleep ends.
+            return closed, await asyncio.wait_for(processes[0].wait(), timeout=10)
+
+        assert _run(scenario()) == (True, -9)
 
 
 class TestSSHBackend:

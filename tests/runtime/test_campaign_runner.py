@@ -15,7 +15,7 @@ from repro.core.config import DroneScale, GridWorldScale
 from repro.core.experiments.gridworld_inference import gridworld_inference_plan
 from repro.core.experiments.gridworld_training import gridworld_training_plan
 from repro.runtime.cells import CampaignPlan, CellTask, derive_cell_seeds
-from repro.runtime.plans import build_plan, decomposed_experiment_ids, plannable_experiment_ids
+from repro.runtime.plans import CampaignContext, build_plan, plannable_experiment_ids
 from repro.runtime.runner import CampaignRunner, CellExecutionError
 
 
@@ -39,18 +39,6 @@ class TestSerialParallelDeterminism:
         parallel = CampaignRunner(gridworld_scale=tiny_scale, cache=policy_cache, workers=2)
         assert _payload(serial.run("fig4")) == _payload(parallel.run("fig4"))
 
-    def test_experiment_function_matches_plan(self, tiny_scale):
-        """The public experiment function IS the serial plan execution."""
-        from repro.core.experiments.gridworld_training import gridworld_training_heatmap
-
-        direct = gridworld_training_heatmap(
-            "agent", scale=tiny_scale, ber_values=(0.0, 0.02), episode_fractions=(0.5,)
-        )
-        plan = gridworld_training_plan(
-            "agent", scale=tiny_scale, ber_values=(0.0, 0.02), episode_fractions=(0.5,)
-        )
-        assert _payload(direct) == _payload(plan.run_serial())
-
 
 class TestDriver:
     """CampaignRunner as the one library driver of paper artifacts."""
@@ -62,11 +50,11 @@ class TestDriver:
         )
 
     def test_experiment_ids_cover_paper_artifacts(self, runner):
-        ids = runner.experiment_ids
-        for required in ("fig3a", "fig3b", "fig3c", "fig3d", "fig3e", "table1", "fig4",
-                         "fig5a", "fig5b", "fig5c", "fig6a", "fig6b", "fig7a", "fig7b",
-                         "fig8a", "fig8b", "fig9", "datatypes"):
-            assert required in ids
+        assert runner.experiment_ids == plannable_experiment_ids() == sorted(
+            ["fig3a", "fig3b", "fig3c", "fig3d", "fig3e", "table1", "fig4", "fig5a",
+             "fig5b", "fig5c", "fig6a", "fig6b", "fig7a", "fig7b", "fig8a", "fig8b",
+             "fig9", "datatypes"]
+        )
 
     def test_unknown_experiment(self, runner):
         with pytest.raises(KeyError):
@@ -94,9 +82,12 @@ class TestPlans:
         runner = CampaignRunner(
             gridworld_scale=tiny_scale, drone_scale=DroneScale.tiny(), cache=policy_cache
         )
-        # Every id the driver offers (fig7a/fig8a-style ones too) builds a plan.
+        # Every id the driver offers builds a plan of at least two cells, so
+        # every artifact can spread over a pool, shards or the orchestrator.
         for experiment_id in runner.experiment_ids:
-            assert runner.plan(experiment_id).cell_count >= 1
+            plan = runner.plan(experiment_id)
+            assert plan.cell_count >= 2, experiment_id
+            assert all(cell.experiment_id == experiment_id for cell in plan.cells)
 
     def test_heatmap_plan_shape(self, tiny_scale):
         plan = gridworld_training_plan(
@@ -115,9 +106,6 @@ class TestPlans:
             assert isinstance(cell.kwargs["multi_policy"], PolicyRef)
             assert isinstance(cell.kwargs["single_policy"], PolicyRef)
             assert cell.kwargs["multi_policy"].cache_dir == str(policy_cache.cache_dir)
-
-    def test_decomposed_ids_are_plannable(self):
-        assert set(decomposed_experiment_ids()) <= set(plannable_experiment_ids())
 
     def test_unknown_experiment_rejected(self, tiny_scale, policy_cache):
         runner = CampaignRunner(gridworld_scale=tiny_scale, cache=policy_cache)
@@ -282,15 +270,18 @@ class TestSeedDerivation:
             derive_cell_seeds(0, -1)
 
 
-class TestFallbackPlans:
-    def test_fig9_single_cell(self, tiny_scale, tiny_drone_scale, policy_cache):
-        from repro.runtime.plans import CampaignContext
-
+class TestFig9Plan:
+    def test_fig9_one_cell_per_platform(self, tiny_scale, tiny_drone_scale, policy_cache):
         context = CampaignContext.create(tiny_scale, tiny_drone_scale, policy_cache)
         plan = build_plan("fig9", context)
-        assert plan.cell_count == 1
-        result = plan.run_serial()
-        assert hasattr(result, "rows")
+        assert [cell.key for cell in plan.cells] == [
+            ("platform", "AirSim drone"),
+            ("platform", "DJI Spark"),
+        ]
+        outputs = [cell.run() for cell in plan.cells]
+        # JSON-native rows, concatenated in platform order by the merge.
+        assert json.loads(json.dumps(outputs)) == outputs
+        assert plan.merge(outputs).rows == outputs[0] + outputs[1]
 
     def test_fig9_runs_in_worker(self, tiny_scale, tiny_drone_scale, policy_cache):
         runner = CampaignRunner(

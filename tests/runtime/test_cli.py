@@ -1,7 +1,9 @@
 """Argument validation tests for the ``repro-campaign`` CLI.
 
-These exercise the parser layer only — campaign execution is covered by
-``test_campaign_runner.py``/``test_sharding.py`` and the CI jobs.
+These exercise the parser layer, plus shard, merge-only and orchestrate
+round trips of the cheapest artifacts (fig3e, fig9) — campaign execution is
+otherwise covered by ``test_campaign_runner.py``/``test_sharding.py`` and the
+CI jobs.
 """
 
 import shlex
@@ -68,6 +70,24 @@ spec:
 
 def _error_text(capsys) -> str:
     return capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def unsharded(tmp_path_factory):
+    """Artifact id -> the bytes of its unsharded tiny-scale CLI payload."""
+    root = tmp_path_factory.mktemp("unsharded")
+    payloads = {}
+
+    def payload(experiment_id: str) -> bytes:
+        if experiment_id not in payloads:
+            assert main(
+                [experiment_id, "--scale", "tiny", "--cache-dir", str(root / "cache"),
+                 "--output", str(root / "out")]
+            ) == 0
+            payloads[experiment_id] = (root / "out" / f"{experiment_id}.json").read_bytes()
+        return payloads[experiment_id]
+
+    return payload
 
 
 class TestWorkerValidation:
@@ -196,14 +216,16 @@ class TestOrchestrateValidation:
         assert "invalid --backend" in error
         assert message in error
 
-    def test_orchestrate_rejects_single_cell_artifacts(self, capsys, tmp_path):
-        """fig9 has one cell — nothing to shard, so orchestration must fail
-        loudly (exit 1) instead of spawning useless subprocesses."""
-        exit_code = main(
-            ["orchestrate", "fig9", "--shards", "2", "--journal-dir", str(tmp_path)]
-        )
-        assert exit_code == 1
-        assert "single-cell" in _error_text(capsys)
+    def test_orchestrate_fig9_merges_the_unsharded_payload(self, tmp_path, unsharded):
+        """Two shard subprocesses, one platform cell each, merge to the bytes
+        of one unsharded run."""
+        output = tmp_path / "orch"
+        assert main(
+            ["orchestrate", "fig9", "--shards", "2", "--scale", "tiny",
+             "--cache-dir", str(tmp_path / "cache"), "--journal-dir", str(tmp_path / "j"),
+             "--output", str(output), "--poll-interval", "0.05"]
+        ) == 0
+        assert (output / "fig9.json").read_bytes() == unsharded("fig9")
 
     def test_orchestrate_unknown_experiment_fails(self, capsys, tmp_path):
         exit_code = main(
@@ -320,17 +342,17 @@ class TestExistingValidation:
         assert exit_code == 1
         assert "no shard journals" in _error_text(capsys)
 
-    def test_single_cell_plans_skipped_under_shard(self, capsys, tmp_path):
-        """`all --shard k/n` must stay usable: single-cell artifacts are
-        skipped with a notice, not failed on every machine (exit 0)."""
-        exit_code = main(["fig9", "--shard", "1/2", "--journal-dir", str(tmp_path)])
-        assert exit_code == 0
-        assert "SKIPPED" in capsys.readouterr().out
 
-    def test_single_cell_plans_skipped_under_merge_only(self, capsys, tmp_path):
-        exit_code = main(["fig9", "--merge-only", "--journal-dir", str(tmp_path)])
-        assert exit_code == 0
-        assert "SKIPPED" in capsys.readouterr().out
+class TestShardedArtifacts:
+    @pytest.mark.parametrize("experiment_id", ["fig3e", "fig9"])
+    def test_shards_merge_to_the_unsharded_payload(self, tmp_path, unsharded, experiment_id):
+        common = ["--scale", "tiny", "--cache-dir", str(tmp_path / "cache"),
+                  "--journal-dir", str(tmp_path / "journals")]
+        assert main([experiment_id, "--shard", "1/2", *common]) == 0
+        assert main([experiment_id, "--shard", "2/2", *common]) == 0
+        output = tmp_path / "merged"
+        assert main([experiment_id, "--merge-only", *common, "--output", str(output)]) == 0
+        assert (output / f"{experiment_id}.json").read_bytes() == unsharded(experiment_id)
 
 
 def _value(x):

@@ -1,19 +1,23 @@
-"""Serial/parallel byte-identity for the newly decomposed artifacts.
+"""Plan shapes and serial/parallel byte-identity of the later decompositions.
 
-PR 1 decomposed the heatmap and sweep artifacts; this suite covers the
-remaining grid-shaped artifacts — fig3d (per parameter tensor), fig6a (per
-drone count × fault location × BER), fig6b (per interval multiplier ×
-scenario) and the data-type study (per BER × datatype × repeat) — and pins
-the driver routing: ``CampaignRunner.run(id)`` and the serial plan must
-produce byte-identical payloads.
+The heatmap and sweep artifacts were decomposed first; this suite covers the
+other grid-shaped artifacts — fig3d (per parameter tensor), fig3e (per fault
+location × BER recovery chain), fig6a (per drone count × fault location ×
+BER), fig6b (per interval multiplier × scenario) and the data-type study (per
+BER × datatype × repeat) — and pins the driver routing:
+``CampaignRunner.run(id)`` and the serial plan must produce byte-identical
+payloads.
 """
 
 import json
 
+import numpy as np
 import pytest
 
+from repro.quant.datatypes import resolve_datatype
 from repro.runtime.plans import CampaignContext, build_plan
 from repro.runtime.runner import CampaignRunner
+from repro.utils.bitops import count_ones
 
 NEWLY_DECOMPOSED = ("fig3d", "fig6a", "fig6b", "datatypes")
 
@@ -34,10 +38,16 @@ class TestPlanShapes:
         assert plan.cell_count > 1
         assert all(cell.experiment_id == experiment_id for cell in plan.cells)
 
-    def test_fig3e_stays_single_cell(self, context):
-        # The convergence loop trains until recovery: each round depends on
-        # the previous evaluation, so it cannot decompose into cells.
-        assert build_plan("fig3e", context).cell_count == 1
+    def test_fig3e_one_cell_per_chain(self, context):
+        # Each (location, BER) recovery chain trains until recovery and is
+        # sequential inside, but chains share nothing: one cell each, agent
+        # chains first, then server chains, in BER order.
+        plan = build_plan("fig3e", context)
+        assert [cell.key for cell in plan.cells] == [
+            ("location", location, "ber", index)
+            for location in ("agent", "server")
+            for index in range(3)
+        ]
 
     def test_fig6a_keys_cover_counts_and_locations(self, context):
         plan = build_plan("fig6a", context)
@@ -74,15 +84,43 @@ class TestSerialParallelByteIdentity:
         assert _payload(serial) == _payload(parallel)
 
 
-class TestFrameworkParity:
-    def test_fig3d_matches_legacy_weight_distribution(self, context, tiny_gridworld_policies):
-        from repro.core.experiments.gridworld_training import weight_distribution
+def _whole_policy_rows(consensus: dict, datatype: str) -> list:
+    """Fig. 3d's table rows from one encoding of the whole flattened policy."""
+    flat = np.concatenate(
+        [np.asarray(value, dtype=np.float64).reshape(-1) for value in consensus.values()]
+    )
+    resolved = resolve_datatype(datatype)
+    codes, _context = resolved.encode(flat)
+    total_bits = flat.size * resolved.bit_width
+    ones = count_ones(codes, resolved.bit_width) / total_bits
+    return [
+        ["min weight", float(flat.min())],
+        ["max weight", float(flat.max())],
+        ["0 bits (%)", (1.0 - ones) * 100.0],
+        ["1 bits (%)", ones * 100.0],
+        ["total bits", float(total_bits)],
+    ]
 
-        legacy = weight_distribution(
-            scale=context.gridworld_scale,
-            consensus=tiny_gridworld_policies["consensus"],
+
+class TestFrameworkParity:
+    def test_fig3d_matches_whole_policy_breakdown(self, context, tiny_gridworld_policies):
+        """Per-parameter cells sum exactly to one whole-policy encoding."""
+        result = build_plan("fig3d", context).run_serial()
+        expected = _whole_policy_rows(
+            tiny_gridworld_policies["consensus"], context.gridworld_scale.datatype
         )
-        assert _payload(build_plan("fig3d", context).run_serial()) == _payload(legacy)
+        assert result.rows == expected
+
+    def test_fig3e_chains_are_independent(self, context):
+        """The recovery chains, run in reverse order and sent through a JSON
+        round trip, merge to the in-order payload."""
+        plan = build_plan("fig3e", context)
+        in_order = _payload(plan.run_serial())
+        outputs = {}
+        for index in reversed(range(plan.cell_count)):
+            outputs[index] = json.loads(json.dumps(plan.cells[index].run()))
+        merged = plan.merge([outputs[index] for index in range(plan.cell_count)])
+        assert _payload(merged) == in_order
 
     def test_runner_routes_through_plans(self, context):
         runner = CampaignRunner(

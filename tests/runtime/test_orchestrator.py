@@ -41,6 +41,7 @@ _SRC = str(Path(__file__).resolve().parents[2] / "src")
 #: Worker script emulating one shard "machine".  Behaviour knobs come through
 #: environment variables so the orchestrator's default env passthrough is the
 #: thing under test:
+#:   ORCH_TEST_CELL_COUNT — the plan's cell count (default 8, as ``_plan``);
 #:   ORCH_TEST_CRASH_SHARD / ORCH_TEST_CRASH_MARKER — hard-exit (as if killed)
 #:     after journaling 2 cells, once, creating the marker file;
 #:   ORCH_TEST_FAIL_SHARD — exit 3 immediately, every attempt;
@@ -83,7 +84,7 @@ _WORKER_SCRIPT = textwrap.dedent(
 
     cells = [
         CellTask("orch", ("cell", index), cell, {{"value": float(index)}})
-        for index in range(8)
+        for index in range(int(os.environ.get("ORCH_TEST_CELL_COUNT", "8")))
     ]
     plan = CampaignPlan("orch", cells, merge=list)
     runner = CampaignRunner(journal_dir=journal_dir, shard=shard, resume=resume)
@@ -411,10 +412,22 @@ class TestExhaustedRetries:
 
 
 class TestGuards:
-    def test_single_cell_plan_rejected(self, tmp_path, worker_script):
-        orchestrator = _orchestrator(tmp_path, worker_script, plan=_plan(count=1))
-        with pytest.raises(OrchestratorError, match="single-cell"):
-            orchestrator.run()
+    def test_one_cell_plan_over_two_shards_merges(self, tmp_path, worker_script, monkeypatch):
+        """Shard 2 owns no cell: it journals only a header, and the merge
+        still folds shard 1's one cell into the unsharded payload."""
+        monkeypatch.setenv("ORCH_TEST_CELL_COUNT", "1")
+        events = []
+        orchestrator = _orchestrator(
+            tmp_path, worker_script, plan=_plan(count=1), on_event=events.append
+        )
+        report = orchestrator.run()
+        assert report.merged
+        assert report.result == _plan(count=1).run_serial()
+        assert [outcome.assigned_cells for outcome in report.outcomes] == [1, 0]
+        assert "note: 2 shards over 1 cells — 1 shard(s) will own no cells" in events
+        empty_shard = tmp_path / "journals" / "orch.shard-2-of-2.jsonl"
+        records = [json.loads(line) for line in empty_shard.read_text().splitlines()]
+        assert [record["kind"] for record in records] == ["header"]
 
     def test_requires_journal_dir(self):
         with pytest.raises(Exception, match="journal"):

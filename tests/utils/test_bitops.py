@@ -7,7 +7,6 @@ from repro.utils.bitops import (
     count_ones,
     faults_for_ber,
     flip_bits,
-    one_bit_fraction,
     random_bit_positions,
     set_bits,
     signed_dtype_for,
@@ -100,11 +99,11 @@ class TestCounting:
         # -1 in 8-bit two's complement is all ones.
         assert count_ones(np.array([-1], dtype=np.int8), 8) == 8
 
-    def test_one_bit_fraction_zeros(self):
-        assert one_bit_fraction(np.zeros(10, dtype=np.int8), 8) == 0.0
+    def test_count_ones_zeros(self):
+        assert count_ones(np.zeros(10, dtype=np.int8), 8) == 0
 
-    def test_one_bit_fraction_empty(self):
-        assert one_bit_fraction(np.zeros(0, dtype=np.int8), 8) == 0.0
+    def test_count_ones_empty(self):
+        assert count_ones(np.zeros(0, dtype=np.int8), 8) == 0
 
 
 class TestFaultCounts:
