@@ -12,10 +12,7 @@ seconds of CPU time.
 """
 
 from repro.core import GridWorldScale
-from repro.core.experiments.inference_utils import (
-    gridworld_agent_with_state,
-    success_rate_over_envs,
-)
+from repro.core.experiments.inference_utils import success_rate_over_envs
 from repro.core.workloads import build_gridworld_frl_system, gridworld_environments
 from repro.faults import FaultInjector
 
@@ -33,8 +30,7 @@ def main() -> None:
     envs = gridworld_environments(scale)
 
     def success_rate(policy_state) -> float:
-        agent = gridworld_agent_with_state(scale, policy_state, rng=0)
-        return success_rate_over_envs(agent, envs, attempts_per_env=10) * 100.0
+        return success_rate_over_envs(scale, policy_state, envs, 10, rng=0) * 100.0
 
     clean = success_rate(consensus)
     print(f"Clean unified policy success rate: {clean:.1f}%")

@@ -8,7 +8,6 @@ import numpy as np
 
 from repro.core.config import GridWorldScale
 from repro.core.experiments.inference_utils import (
-    gridworld_agent_with_state,
     single_step_fault_success_rate,
     success_rate_over_envs,
 )
@@ -49,8 +48,7 @@ def gridworld_inference_cell(
     for variant in variants:
         if variant == "Multi-Trans-M":
             corrupted = injector.corrupt_state_dict(multi_policy, ber)
-            agent = gridworld_agent_with_state(scale, corrupted, rng=stream)
-            outputs.append(success_rate_over_envs(agent, envs, attempts))
+            outputs.append(success_rate_over_envs(scale, corrupted, envs, attempts, stream))
         elif variant == "Multi-Trans-1":
             corrupted = injector.corrupt_state_dict(multi_policy, ber)
             outputs.append(
@@ -60,14 +58,12 @@ def gridworld_inference_cell(
             )
         elif variant == "Single-Trans-M":
             corrupted = injector.corrupt_state_dict(single_policy, ber)
-            agent = gridworld_agent_with_state(scale, corrupted, rng=stream)
-            outputs.append(success_rate_over_envs(agent, single_envs, attempts))
+            outputs.append(success_rate_over_envs(scale, corrupted, single_envs, attempts, stream))
         elif variant in ("Stuck-at-0", "Stuck-at-1"):
             model = "stuck-at-0" if variant == "Stuck-at-0" else "stuck-at-1"
             stuck_injector = FaultInjector(datatype=scale.datatype, model=model, rng=stream)
             corrupted = stuck_injector.corrupt_state_dict(multi_policy, ber)
-            agent = gridworld_agent_with_state(scale, corrupted, rng=stream)
-            outputs.append(success_rate_over_envs(agent, envs, attempts))
+            outputs.append(success_rate_over_envs(scale, corrupted, envs, attempts, stream))
         else:
             raise ValueError(f"unknown inference variant {variant!r}")
     return outputs
@@ -96,9 +92,12 @@ def gridworld_inference_plan(
     never retrain a baseline and decode each referenced policy only once.
     """
     scale = scale or GridWorldScale.fast()
-    cache = cache or default_cache()
     ber_values = tuple(ber_values)
     variants = tuple(variants)
+    for variant in variants:
+        if variant not in DEFAULT_VARIANTS:
+            raise ValueError(f"unknown inference variant {variant!r}; known: {DEFAULT_VARIANTS}")
+    cache = cache or default_cache()
     trained = cache.gridworld_policies(scale)
     clean_success_rate = trained["success_rate"] * 100.0
     multi_policy = cache.gridworld_consensus_ref(scale)

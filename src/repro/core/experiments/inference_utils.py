@@ -9,20 +9,26 @@ import numpy as np
 from repro.core.config import DroneScale, GridWorldScale
 from repro.core.workloads import drone_agent_config, gridworld_agent_config
 from repro.envs.base import Environment
-from repro.rl import QLearningAgent, ReinforceAgent
-from repro.utils.rng import as_rng
+from repro.nn.network import check_gridworld_q_state
+from repro.rl import ReinforceAgent
+from repro.rl.rollout import greedy_action_table
+from repro.utils.rng import as_rng, child_seeds
 
 StateDict = Dict[str, np.ndarray]
 
 
-def gridworld_agent_with_state(scale: GridWorldScale, state: StateDict, rng=None) -> QLearningAgent:
-    """A GridWorld agent whose Q-network holds a copy of ``state`` (greedy inference).
+def _inference_agent_draw(scale: GridWorldScale, state: StateDict, rng) -> None:
+    """The draw and the check of the ``QLearningAgent`` GridWorld inference once built.
 
-    The agent is built from ``state`` and runs no random init, but ``rng``
-    advances as if ``QLearningAgent(config, rng)`` had been built and then
-    loaded with ``state``, so every later draw on it keeps its bytes.
+    ``rng`` makes the agent's init draw, the layer seeds, so every later
+    draw and every payload keeps its bytes, and ``state`` raises what
+    loading it into the agent raised.
     """
-    return QLearningAgent(gridworld_agent_config(scale), rng=as_rng(rng), state=state)
+    config = gridworld_agent_config(scale)
+    child_seeds(rng, len(config.hidden_sizes) + 1)
+    check_gridworld_q_state(
+        state, config.observation_size, config.action_count, config.hidden_sizes
+    )
 
 
 def drone_agent_with_state(scale: DroneScale, state: StateDict, rng=None) -> ReinforceAgent:
@@ -33,14 +39,25 @@ def drone_agent_with_state(scale: DroneScale, state: StateDict, rng=None) -> Rei
 
 
 def success_rate_over_envs(
-    agent, envs: Sequence[Environment], attempts_per_env: int
+    scale: GridWorldScale, state: StateDict, envs: Sequence[Environment], attempts_per_env: int, rng
 ) -> float:
-    """Average GridWorld success rate over ``envs`` with a greedy policy."""
-    from repro.rl.rollout import evaluate_success_rate
+    """Average GridWorld success rate over ``envs`` of the greedy policy ``state``.
 
+    After :func:`_inference_agent_draw`, every attempt is one
+    :meth:`GridWorldEnv.walk` with residual ε 0.05 on ``rng``, as
+    :func:`~repro.rl.rollout.evaluate_success_rate` runs it.
+    """
     if not envs:
         raise ValueError("success_rate_over_envs needs at least one environment")
-    rates = [evaluate_success_rate(agent, env, attempts=attempts_per_env) for env in envs]
+    if attempts_per_env <= 0:
+        raise ValueError(f"attempts_per_env must be positive, got {attempts_per_env}")
+    rng = as_rng(rng)
+    _inference_agent_draw(scale, state, rng)
+    rates = []
+    for env in envs:
+        actions = greedy_action_table(state, env)
+        successes = sum(env.walk(actions, 0.05, rng) for _ in range(attempts_per_env))
+        rates.append(successes / attempts_per_env)
     return float(np.mean(rates))
 
 
@@ -72,21 +89,20 @@ def single_step_fault_success_rate(
     action is computed with the corrupted policy (a faulty read register),
     every other step uses the clean policy (memory is intact).  Both
     policies' greedy actions are looked up in per-environment cell tables,
-    and every attempt is one :meth:`GridWorldEnv.walk` without residual ε.
+    and every attempt is one :meth:`GridWorldEnv.walk` without residual ε,
+    after :func:`_inference_agent_draw` for each policy.
     """
-    from repro.rl.rollout import greedy_action_table
-
     if attempts_per_env <= 0:
         raise ValueError(f"attempts_per_env must be positive, got {attempts_per_env}")
     if not envs:
         raise ValueError("single_step_fault_success_rate needs at least one environment")
     rng = as_rng(rng)
-    clean_agent = gridworld_agent_with_state(scale, clean_state, rng=rng)
-    faulty_agent = gridworld_agent_with_state(scale, corrupted_state, rng=rng)
+    _inference_agent_draw(scale, clean_state, rng)
+    _inference_agent_draw(scale, corrupted_state, rng)
     successes = 0
     for env in envs:
-        clean_actions = greedy_action_table(clean_agent, env)
-        faulty_actions = greedy_action_table(faulty_agent, env)
+        clean_actions = greedy_action_table(clean_state, env)
+        faulty_actions = greedy_action_table(corrupted_state, env)
         for _attempt in range(attempts_per_env):
             faulty_step = int(rng.integers(0, scale.max_steps))
             successes += env.walk(clean_actions, 0.0, rng, faulty_step, faulty_actions)

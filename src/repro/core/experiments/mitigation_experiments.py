@@ -19,7 +19,6 @@ from repro.core.experiments.gridworld_training import (
 from repro.core.experiments.inference_utils import (
     drone_agent_with_state,
     flight_distance_over_envs,
-    gridworld_agent_with_state,
     success_rate_over_envs,
 )
 from repro.core.fault_callbacks import make_training_fault
@@ -192,8 +191,7 @@ def inference_mitigation_cell(
         envs = gridworld_environments(scale)
 
         def evaluate(state, rng):
-            agent = gridworld_agent_with_state(scale, state, rng=rng)
-            return success_rate_over_envs(agent, envs, attempts) * 100.0
+            return success_rate_over_envs(scale, state, envs, attempts, rng) * 100.0
 
     else:
         envs = drone_environments(scale)

@@ -51,9 +51,10 @@ class GridWorldLayout:
     """An immutable maze description.
 
     The layout keeps a read-only copy of ``grid`` and, built on first use and
-    kept, three read-only lookup tables that every environment on the layout
-    shares: :attr:`bordered_cells`, one :meth:`observation_table` per
-    observation mode, and :attr:`successors`.
+    kept, read-only lookup tables that every environment on the layout
+    shares: :attr:`bordered_cells`, one :meth:`observation_table` and one
+    :meth:`distinct_observations` index per observation mode, and
+    :attr:`successors`.
     """
 
     grid: np.ndarray  # 2D array of CellType values
@@ -76,6 +77,7 @@ class GridWorldLayout:
         if grid[self.goal] != CellType.GOAL:
             raise ValueError("goal coordinates must point at a GOAL cell")
         object.__setattr__(self, "_observation_tables", {})
+        object.__setattr__(self, "_distinct_observations", {})
 
     @property
     def shape(self) -> Tuple[int, int]:
@@ -131,6 +133,24 @@ class GridWorldLayout:
         table.setflags(write=False)
         self._observation_tables[observation_mode] = table
         return table
+
+    def distinct_observations(self, observation_mode: str) -> Tuple[np.ndarray, np.ndarray]:
+        """The distinct rows of :meth:`observation_table` and an inverse index into them.
+
+        Both read-only: flat cell ``row * cols + col`` observes
+        ``rows[inverse[row * cols + col]]``.
+        """
+        distinct = self._distinct_observations.get(observation_mode)
+        if distinct is None:
+            table = self.observation_table(observation_mode)
+            rows, inverse = np.unique(
+                table.reshape(-1, table.shape[-1]), axis=0, return_inverse=True
+            )
+            distinct = (rows, inverse.reshape(-1))
+            for array in distinct:
+                array.setflags(write=False)
+            self._distinct_observations[observation_mode] = distinct
+        return distinct
 
     @cached_property
     def successors(self) -> Tuple[int, ...]:
@@ -294,11 +314,6 @@ class GridWorldEnv(Environment):
         """The agent's current (row, column) cell."""
         return self._position
 
-    @property
-    def observation_table(self) -> np.ndarray:
-        """Read-only ``(rows, cols, *observation_shape)`` table of every cell's observation."""
-        return self._observations
-
     def reset(self) -> np.ndarray:
         """Put the agent back on the source cell and start a new episode."""
         self._position = self.layout.source
@@ -314,8 +329,8 @@ class GridWorldEnv(Environment):
         for hell/out-of-bounds, +1 for goal, 0 for free/source.  In
         ``goal_direction`` mode two extra elements give the sign of the
         row/column offset from the agent to the goal.  The result is a
-        read-only row of :attr:`observation_table`; a position off the grid
-        raises ``ValueError``.
+        read-only row of the layout's :meth:`GridWorldLayout.observation_table`;
+        a position off the grid raises ``ValueError``.
         """
         row, col = self._position if position is None else position
         rows, cols = self.layout.shape

@@ -14,6 +14,7 @@ a single computation (register fault).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -131,7 +132,7 @@ class FaultInjector:
             return {}
         names = sorted(state)
         shapes = {name: np.asarray(state[name]).shape for name in names}
-        sizes = {name: int(np.prod(shapes[name])) if shapes[name] else 1 for name in names}
+        sizes = {name: math.prod(shapes[name]) for name in names}
         flat = np.concatenate(
             [np.asarray(state[name], dtype=np.float64).reshape(-1) for name in names]
         )

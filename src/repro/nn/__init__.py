@@ -20,8 +20,6 @@ from repro.nn.network import (
     build_drone_policy_network,
     build_gridworld_q_network,
     clone_state_dict,
-    load_state_dict,
-    state_dict,
 )
 
 __all__ = [
@@ -44,7 +42,5 @@ __all__ = [
     "zeros_init",
     "build_gridworld_q_network",
     "build_drone_policy_network",
-    "state_dict",
-    "load_state_dict",
     "clone_state_dict",
 ]

@@ -8,16 +8,15 @@ image, 25-action probabilistic head).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
 from repro.nn.activations import ReLU, Softmax
 from repro.nn.conv import Conv2d, MaxPool2d
-from repro.nn.init import xavier_uniform, zeros_init
 from repro.nn.layers import Flatten, Linear
-from repro.nn.module import Module, Sequential
-from repro.utils.rng import as_rng, child_seeds, spawn_rngs
+from repro.nn.module import Sequential
+from repro.utils.rng import as_rng, spawn_rngs
 
 
 def build_gridworld_q_network(
@@ -25,40 +24,69 @@ def build_gridworld_q_network(
     action_count: int = 4,
     hidden_sizes: Sequence[int] = (32, 32),
     rng=None,
-    state: Optional[Dict[str, np.ndarray]] = None,
 ) -> Sequential:
     """MLP Q-network for the GridWorld navigation task.
 
     The observation is the 4-cell neighbourhood encoding (values in
     {-1, 0, 1}) and the output is one Q-value per action in
     {up, down, right, left}.
-
-    With ``state`` the network holds a copy of it, checked as
-    :meth:`~repro.nn.module.Module.load_state_dict` checks it, and no layer
-    runs its random init.  ``rng`` still makes the one draw a random init
-    makes on it, the layers' :func:`~repro.utils.rng.child_seeds`, so it
-    ends where a random init leaves it.
     """
     rng = as_rng(rng)
-    layer_count = len(hidden_sizes) + 1
-    if state is None:
-        layer_rngs = spawn_rngs(rng, layer_count)
-        init = xavier_uniform
-    else:
-        child_seeds(rng, layer_count)
-        layer_rngs = [None] * layer_count
-        init = zeros_init
+    layer_rngs = spawn_rngs(rng, len(hidden_sizes) + 1)
     layers = []
     previous = observation_size
     for index, hidden in enumerate(hidden_sizes):
-        layers.append(Linear(previous, hidden, rng=layer_rngs[index], init=init))
+        layers.append(Linear(previous, hidden, rng=layer_rngs[index]))
         layers.append(ReLU())
         previous = hidden
-    layers.append(Linear(previous, action_count, rng=layer_rngs[-1], init=init))
-    network = Sequential(*layers)
-    if state is not None:
-        network.load_state_dict(state)
-    return network
+    layers.append(Linear(previous, action_count, rng=layer_rngs[-1]))
+    return Sequential(*layers)
+
+
+def gridworld_q_values(state: Dict[str, np.ndarray], observations: np.ndarray) -> np.ndarray:
+    """Q-values for ``observations`` of the :func:`build_gridworld_q_network` holding ``state``.
+
+    Runs the layers' own ops (``x @ W``, ``+ b``, ``x > 0``, ``x * mask``) on
+    the state's arrays, so the result has the bytes of that network's
+    forward on the same input, whatever its leading shape.
+    """
+    layer_count = len(state) // 2
+    if not layer_count:
+        raise ValueError(f"no Q-network layers in a state dict with keys {sorted(state)}")
+    values = np.asarray(observations, dtype=np.float64)
+    for layer in range(layer_count):
+        values = values @ np.ascontiguousarray(state[f"{2 * layer}.weight"], dtype=np.float64)
+        values = values + np.ascontiguousarray(state[f"{2 * layer}.bias"], dtype=np.float64)
+        if layer < layer_count - 1:
+            values = values * (values > 0)
+    return values
+
+
+def check_gridworld_q_state(
+    state: Dict[str, np.ndarray],
+    observation_size: int,
+    action_count: int,
+    hidden_sizes: Sequence[int],
+) -> None:
+    """Raise what loading ``state`` into that :func:`build_gridworld_q_network` raises.
+
+    A ``KeyError`` on missing or unexpected names, else a ``ValueError`` on
+    the first wrongly shaped entry, in parameter order.
+    """
+    sizes = (observation_size, *hidden_sizes, action_count)
+    shapes = {}
+    for layer, shape in enumerate(zip(sizes, sizes[1:])):
+        shapes[f"{2 * layer}.weight"], shapes[f"{2 * layer}.bias"] = shape, shape[1:]
+    if state.keys() != shapes.keys():
+        missing = sorted(shapes.keys() - state.keys())
+        unexpected = sorted(state.keys() - shapes.keys())
+        raise KeyError(f"state dict mismatch: missing={missing}, unexpected={unexpected}")
+    for name, shape in shapes.items():
+        if np.shape(state[name]) != shape:
+            raise ValueError(
+                f"cannot copy value of shape {np.shape(state[name])} into parameter "
+                f"{name.split('.')[1]!r} of shape {shape}"
+            )
 
 
 def build_drone_policy_network(
@@ -104,16 +132,6 @@ def build_drone_policy_network(
     layers.append(Linear(fc_hidden, action_count, rng=conv_rngs[-1]))
     layers.append(Softmax())
     return Sequential(*layers)
-
-
-def state_dict(module: Module) -> Dict[str, np.ndarray]:
-    """Copy of every named parameter value in ``module``."""
-    return module.state_dict()
-
-
-def load_state_dict(module: Module, state: Dict[str, np.ndarray]) -> None:
-    """Load ``state`` into ``module`` (strict name matching)."""
-    module.load_state_dict(state)
 
 
 def clone_state_dict(state: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:

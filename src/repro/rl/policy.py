@@ -8,77 +8,39 @@ which correlates with both higher performance and higher fault resilience.
 
 from __future__ import annotations
 
-import re
 from typing import Dict, Optional
 
 import numpy as np
 
 from repro.envs.gridworld import enumerate_observations
-from repro.nn import Linear, ReLU, Sequential
 from repro.nn.losses import softmax
+from repro.nn.network import gridworld_q_values
 
 StateDict = Dict[str, np.ndarray]
 
 
-def mlp_from_state_dict(state: StateDict) -> Sequential:
-    """Rebuild an MLP (Linear/ReLU stack) from a Q-network state dict.
-
-    The GridWorld Q-networks built by :func:`repro.nn.build_gridworld_q_network`
-    store parameters under keys like ``"0.weight"`` / ``"0.bias"``; the layer
-    topology is recovered from the weight shapes so callers do not need to
-    know the hidden sizes used during training.
-    """
-    if not state:
-        raise ValueError("state dict is empty")
-    layer_indices = sorted(
-        {int(match.group(1)) for key in state if (match := re.match(r"(\d+)\.weight", key))}
-    )
-    if not layer_indices:
-        raise KeyError("state dict does not look like a Sequential MLP (no '<i>.weight' keys)")
-    modules = []
-    for position, layer_index in enumerate(layer_indices):
-        weight = np.asarray(state[f"{layer_index}.weight"])
-        has_bias = f"{layer_index}.bias" in state
-        linear = Linear(weight.shape[0], weight.shape[1], bias=has_bias, rng=0)
-        modules.append(linear)
-        if position < len(layer_indices) - 1:
-            modules.append(ReLU())
-    network = Sequential(*modules)
-    # Map original layer indices onto the rebuilt network's positions.
-    rebuilt_state = {}
-    rebuilt_indices = [i for i, module in enumerate(network.modules) if isinstance(module, Linear)]
-    for original, rebuilt in zip(layer_indices, rebuilt_indices):
-        rebuilt_state[f"{rebuilt}.weight"] = np.asarray(state[f"{original}.weight"])
-        if f"{original}.bias" in state:
-            rebuilt_state[f"{rebuilt}.bias"] = np.asarray(state[f"{original}.bias"])
-    network.load_state_dict(rebuilt_state)
-    return network
-
-
 def policy_action_distribution(
-    network: Sequential, observations: Optional[np.ndarray] = None
+    state: StateDict, observations: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """Action-preference distribution of a Q-network over GridWorld states.
+    """Action-preference distribution of a GridWorld Q-network state over GridWorld states.
 
     Returns an array of shape ``(states, actions)`` with the softmax of the
-    Q-values for every enumerated observation.  The observation size is taken
-    from the network's first linear layer.
+    Q-values (:func:`~repro.nn.network.gridworld_q_values`) for every
+    enumerated observation.  The observation size is taken from the state's
+    first layer.
     """
     if observations is None:
-        first_linear = next(m for m in network.modules if isinstance(m, Linear))
-        observations = enumerate_observations(first_linear.in_features)
-    q_values = network.forward(np.asarray(observations, dtype=np.float64))
-    return softmax(q_values, axis=1)
+        observations = enumerate_observations(np.shape(state["0.weight"])[0])
+    return softmax(gridworld_q_values(state, observations), axis=1)
 
 
 def consensus_policy_std(state: StateDict) -> float:
     """Standard deviation of the consensus policy's action preferences.
 
-    Rebuilds the Q-network from ``state`` and computes the standard deviation
-    of per-state action probabilities, averaged over states.  Higher values
+    Computes the standard deviation of per-state action probabilities of the
+    Q-network holding ``state``, averaged over states.  Higher values
     indicate better differentiation between good and bad actions
     (paper Table I).
     """
-    network = mlp_from_state_dict(state)
-    distribution = policy_action_distribution(network)
+    distribution = policy_action_distribution(state)
     return float(distribution.std(axis=1).mean())

@@ -15,7 +15,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.envs.base import Environment
-from repro.nn import Adam, HuberLoss, Linear, ReLU, Sequential, build_gridworld_q_network
+from repro.nn import Adam, HuberLoss, Sequential, build_gridworld_q_network
 from repro.rl.base import Agent, EpisodeStats, outcome_to_stats
 from repro.rl.exploration import EpsilonSchedule, LinearEpsilonDecay
 from repro.rl.replay import ReplayBuffer
@@ -47,20 +47,13 @@ class QLearningConfig:
 
 
 class QLearningAgent(Agent):
-    """ε-greedy Q-learning over a small MLP Q-network.
-
-    With ``state`` the Q-network holds a copy of it from the start and runs
-    no random init; the agent's stream still makes the init's one draw, so
-    it ends where building the agent and then :meth:`load_state_dict`
-    leaves it.
-    """
+    """ε-greedy Q-learning over a small MLP Q-network."""
 
     def __init__(
         self,
         config: Optional[QLearningConfig] = None,
         epsilon_schedule: Optional[EpsilonSchedule] = None,
         rng=None,
-        state: Optional[Dict[str, np.ndarray]] = None,
     ) -> None:
         self.config = config or QLearningConfig()
         self._rng = as_rng(rng)
@@ -69,7 +62,6 @@ class QLearningAgent(Agent):
             action_count=self.config.action_count,
             hidden_sizes=self.config.hidden_sizes,
             rng=self._rng,
-            state=state,
         )
         self.optimizer = Adam(self.network.parameters(), learning_rate=self.config.learning_rate)
         self.loss_fn = HuberLoss()
@@ -107,24 +99,6 @@ class QLearningAgent(Agent):
     def greedy_action_from(self, q_values: np.ndarray) -> int:
         """Greedy action from precomputed Q-values (draws no random numbers)."""
         return int(np.argmax(q_values))
-
-    def greedy_actions(self, observations: np.ndarray) -> np.ndarray:
-        """The greedy action of every observation row, as ``select_action`` picks it.
-
-        The rows run through one forward stacked as ``(rows, 1, features)``,
-        so numpy's matmul makes the single-row product of :meth:`q_values`
-        for each row and every row keeps its bytes; a ``(rows, features)``
-        batch would change the BLAS kernel.  Layers other than Linear and
-        ReLU are refused: a fault hook draws on every forward.
-        """
-        for module in self.network:
-            if not isinstance(module, (Linear, ReLU)):
-                raise TypeError(
-                    f"greedy action tables need Linear and ReLU layers, got {type(module).__name__}"
-                )
-        observations = np.asarray(observations, dtype=np.float64)
-        q_values = self.network.forward(observations[:, None, :])[:, 0]
-        return np.argmax(q_values, axis=1)
 
     # ---------------------------------------------------------------- learning
     def _update_from_replay(self) -> float:

@@ -17,22 +17,25 @@ evaluate without touching the agent's stream.
 
 Drone evaluation steps the environment with :func:`greedy_episode`, asking
 the policy for every action.  A GridWorld observation depends only on the
-agent's cell, so :func:`evaluate_success_rate` computes the greedy action of
-every cell once (:func:`greedy_action_table`) and runs each attempt as one
-:meth:`GridWorldEnv.walk` over the layout's successor table: the same draws
-as :func:`greedy_episode`, without building step results.
+agent's cell, so GridWorld evaluation computes the greedy action of every
+cell once, from the Q-network's state (:func:`greedy_action_table`), and
+runs each attempt as one :meth:`GridWorldEnv.walk` over the layout's
+successor table: the same draws as :func:`greedy_episode`, without building
+step results.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, List, Sequence
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
 from repro.envs.base import Environment
 from repro.envs.gridworld import GridWorldEnv
+from repro.nn import Linear, ReLU
 from repro.nn.batched import StackedPolicy
+from repro.nn.network import gridworld_q_values
 from repro.rl.base import Agent, EpisodeStats, outcome_to_stats
 from repro.rl.lockstep import _lane_info
 from repro.rl.qlearning import QLearningAgent
@@ -70,15 +73,20 @@ def greedy_episode(
     return outcome_to_stats(total_reward, steps, last_info)
 
 
-def greedy_action_table(agent: QLearningAgent, env: GridWorldEnv) -> List[int]:
-    """``agent``'s greedy action in every cell of ``env``, as :meth:`GridWorldEnv.walk` takes it.
+def greedy_action_table(state: Dict[str, np.ndarray], env: GridWorldEnv) -> List[int]:
+    """The greedy action in every cell of ``env`` of the Q-network holding ``state``.
 
-    A list of plain ints indexed by flat cell, ``row * cols + col``, from
-    one stacked forward over ``env.observation_table``; draws no random
-    numbers.
+    The Q-values (:func:`~repro.nn.network.gridworld_q_values`) are computed
+    once per distinct observation of the layout, stacked as
+    ``(rows, 1, obs)``: numpy's matmul makes each row's one-row product, so
+    every row keeps the bytes of a one-row forward (a ``(rows, obs)`` batch
+    would change the BLAS kernel).  The argmax of each row is expanded to
+    every flat cell, ``row * cols + col``, as the plain ints
+    :meth:`GridWorldEnv.walk` takes.
     """
-    table = env.observation_table
-    return agent.greedy_actions(table.reshape(-1, table.shape[-1])).tolist()
+    rows, inverse = env.layout.distinct_observations(env.observation_mode)
+    q_values = gridworld_q_values(state, rows[:, None, :])
+    return np.argmax(q_values[:, 0], axis=1)[inverse].tolist()
 
 
 def evaluate_success_rate(
@@ -90,13 +98,20 @@ def evaluate_success_rate(
 ) -> float:
     """Fraction of attempts in which the agent reached the goal (GridWorld SR).
 
-    Every attempt is one :meth:`GridWorldEnv.walk` over one
-    :func:`greedy_action_table`, with the draws of :func:`greedy_episode`.
+    Every attempt is one :meth:`GridWorldEnv.walk` over the
+    :func:`greedy_action_table` of the agent's parameters, with the draws of
+    :func:`greedy_episode`.  Layers other than Linear and ReLU are refused:
+    a fault hook draws on every forward, which a table cannot repeat.
     """
     if attempts <= 0:
         raise ValueError(f"attempts must be positive, got {attempts}")
+    for module in agent.network:
+        if not isinstance(module, (Linear, ReLU)):
+            raise TypeError(
+                f"greedy action tables need Linear and ReLU layers, got {type(module).__name__}"
+            )
     rng = as_rng(rng if rng is not None else getattr(agent, "rng", None))
-    actions = greedy_action_table(agent, env)
+    actions = greedy_action_table(agent.state_dict(), env)
     successes = sum(env.walk(actions, epsilon, rng) for _ in range(attempts))
     return successes / attempts
 

@@ -27,6 +27,7 @@ from repro.core.experiments.mitigation_experiments import (
     training_mitigation_plan,
 )
 from repro.core.experiments.overhead import overhead_plan
+from repro.core.pretrained import PolicyCache
 from repro.quant.datatypes import resolve_datatype
 
 #: Fig. 3d's bit statistics: case -> (weights, datatype, check(min, max,
@@ -139,12 +140,32 @@ class TestGridworldInference:
         assert set(result.series) == {"Multi-Trans-M", "Multi-Trans-1"}
         assert all(len(v) == 2 for v in result.series.values())
 
-    def test_inference_sweep_unknown_variant(self, gw_scale, policy_cache):
-        with pytest.raises(ValueError):
+    def test_inference_cells_build_no_agent(self, gw_scale, policy_cache, monkeypatch):
+        plans = [
             gridworld_inference_plan(
-                scale=gw_scale, ber_values=(0.0,), cache=policy_cache, repeats=1,
-                variants=("Quad-Trans",),
-            ).run_serial()
+                scale=gw_scale, ber_values=(0.0, 0.02), cache=policy_cache, repeats=1
+            ),
+            inference_mitigation_plan(
+                "gridworld", scale=gw_scale, ber_values=(0.02,), cache=policy_cache, repeats=1
+            ),
+        ]
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("an inference cell built a QLearningAgent")
+
+        monkeypatch.setattr("repro.rl.qlearning.QLearningAgent.__init__", refuse)
+        for plan in plans:
+            plan.run_serial()
+
+    @pytest.mark.parametrize("variants", [("Quad-Trans",), ("Multi-Trans-M", "Quad-Trans")])
+    def test_inference_sweep_unknown_variant(self, gw_scale, tmp_path, variants):
+        # Refused before the baselines are trained or loaded through the cache.
+        with pytest.raises(ValueError, match="'Quad-Trans'"):
+            gridworld_inference_plan(
+                scale=gw_scale, ber_values=(0.0,), cache=PolicyCache(tmp_path), repeats=1,
+                variants=variants,
+            )
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestDroneExperiments:

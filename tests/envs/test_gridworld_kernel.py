@@ -144,12 +144,13 @@ class TestObservationTable:
             env = GridWorldEnv(layout, observation_mode=mode)
             reference = ReferenceGridWorld(layout, env.max_steps, mode)
             rows, cols = layout.shape
-            assert env.observation_table.shape == (rows, cols) + env.observation_shape
+            table = layout.observation_table(mode)
+            assert table.shape == (rows, cols) + env.observation_shape
             for row in range(rows):
                 for col in range(cols):
                     expected = reference.observe((row, col)).tobytes()
                     assert env.observe((row, col)).tobytes() == expected
-                    assert env.observation_table[row, col].tobytes() == expected
+                    assert table[row, col].tobytes() == expected
 
     def test_tables_are_read_only(self):
         env = GridWorldEnv(default_gridworld_layouts(count=1)[0])
@@ -157,7 +158,7 @@ class TestObservationTable:
         with pytest.raises(ValueError):
             observation[0] = 5.0
         with pytest.raises(ValueError):
-            env.observation_table[0, 0, 0] = 5.0
+            env.layout.observation_table("goal_direction")[0, 0, 0] = 5.0
         with pytest.raises(ValueError):
             env.layout.bordered_cells[0, 0] = 0
         with pytest.raises(ValueError):
@@ -264,6 +265,19 @@ class TestLayoutTables:
             assert table.dtype == observations.dtype and table.shape == observations.shape
             assert table.tobytes() == observations.tobytes()
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_distinct_observations_index_every_cell(self, mode):
+        for layout in _layouts():
+            table = layout.observation_table(mode)
+            rows, inverse = layout.distinct_observations(mode)
+            flat = table.reshape(-1, table.shape[-1])
+            assert len({row.tobytes() for row in rows}) == len(rows)
+            assert {row.tobytes() for row in flat} == {row.tobytes() for row in rows}
+            assert rows.dtype == table.dtype and inverse.shape == (len(flat),)
+            assert rows[inverse].tobytes() == flat.tobytes()
+            assert not rows.flags.writeable and not inverse.flags.writeable
+            assert layout.distinct_observations(mode)[0] is rows
+
     def test_successors_match_the_reference_step(self):
         for layout in _layouts():
             rows, cols = layout.shape
@@ -286,10 +300,10 @@ class TestLayoutTables:
     def test_environments_on_one_layout_share_its_tables(self):
         first, second = (make_gridworld_suite(2)[0] for _ in range(2))
         assert first.layout is second.layout
-        assert first.observation_table is second.observation_table
-        assert first.observation_table is first.layout.observation_table("goal_direction")
+        table = first.layout.observation_table("goal_direction")
+        assert first.observe().base is table and second.observe().base is table
         local = GridWorldEnv(first.layout, observation_mode="local")
-        assert local.observation_table is first.layout.observation_table("local")
+        assert local.observe().base is first.layout.observation_table("local")
         assert first.layout.successors is second.layout.successors
 
 

@@ -6,7 +6,7 @@ from repro.core.workloads import (
     build_gridworld_frl_system,
     gridworld_environments,
 )
-from repro.core.experiments.inference_utils import gridworld_agent_with_state, success_rate_over_envs
+from repro.core.experiments.inference_utils import success_rate_over_envs
 from repro.core.experiments.overhead import overhead_plan
 from repro.faults import FaultInjector
 from repro.mitigation import RangeAnomalyDetector, ServerCheckpointCallback
@@ -44,8 +44,7 @@ class TestGridworldEndToEnd:
         repaired, _count = detector.repair(corrupted)
 
         def success(state, seed):
-            agent = gridworld_agent_with_state(tiny_gridworld_scale, state, rng=seed)
-            return success_rate_over_envs(agent, envs, attempts_per_env=4)
+            return success_rate_over_envs(tiny_gridworld_scale, state, envs, 4, rng=seed)
 
         clean_sr = success(policy, 0)
         repaired_sr = success(repaired, 0)

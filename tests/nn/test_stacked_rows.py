@@ -1,9 +1,12 @@
 """Row-exact stacked forwards of the GridWorld Q-network.
 
-Greedy action tables evaluate every cell of a layout in one forward stacked
-as ``(cells, 1, features)``.  Each row's Q-values must carry the bytes of a
-one-row forward, for fault-corrupted weights and for inputs and weights
-holding NaN of both signs, infinities and signed zeros.
+Greedy action tables evaluate the observations of a layout in one forward
+stacked as ``(rows, 1, features)``.  Each row's Q-values must carry the
+bytes of a one-row forward, for fault-corrupted weights and for inputs and
+weights holding NaN of both signs, infinities and signed zeros.  The tables
+compute that forward from the state dict alone
+(``nn.network.gridworld_q_values``), which must give the network's bytes on
+a stack and on a batch alike.
 """
 
 import numpy as np
@@ -12,6 +15,7 @@ import pytest
 from repro.envs.gridworld import enumerate_observations
 from repro.faults import FaultInjector
 from repro.nn import Linear, build_gridworld_q_network
+from repro.nn.network import gridworld_q_values
 
 HIDDEN_SIZES = ((16, 16), (24, 24), (32, 32))
 SPECIALS = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 1e308, -5e-324])
@@ -73,6 +77,28 @@ def test_special_values_row_exact(hidden_sizes):
         outputs = network.forward(_inputs(1))
         assert np.isnan(outputs).any() and np.isinf(_inputs(1)).any()
         _assert_row_exact(network, _inputs(1))
+
+
+@pytest.mark.parametrize("hidden_sizes", HIDDEN_SIZES)
+def test_state_forward_matches_the_network(hidden_sizes):
+    plain = build_gridworld_q_network(observation_size=6, hidden_sizes=hidden_sizes, rng=2)
+    special = _corrupted_network(hidden_sizes, 5, 0.1)
+    _plant_specials(special, 5)
+    # One infinite input per row: -inf pre-activations reach the ReLU mask.
+    one_hot = np.where(np.eye(6, dtype=bool), -np.inf, 0.0)
+    inputs = np.concatenate([_inputs(1), one_hot, -one_hot])
+    with np.errstate(all="ignore"):
+        for network in (plain, _corrupted_network(hidden_sizes, 3, 0.3), special):
+            state = network.state_dict()
+            for rows in (inputs, inputs[:, None, :], inputs[:1]):
+                expected = network.forward(rows).tobytes()
+                assert gridworld_q_values(state, rows).tobytes() == expected
+
+
+def test_state_forward_refuses_a_state_without_layers():
+    for state in ({}, {"weights": np.zeros((2, 2))}):
+        with pytest.raises(ValueError, match="no Q-network layers"):
+            gridworld_q_values(state, np.zeros((1, 2)))
 
 
 def test_negative_nan_keeps_its_sign_bit():

@@ -8,8 +8,9 @@ import pytest
 from repro.envs import GridWorldEnv
 from repro.envs.gridworld import generate_layout
 from repro.nn import build_gridworld_q_network
+from repro.nn.losses import softmax
 from repro.rl import QLearningAgent, QLearningConfig
-from repro.rl.policy import consensus_policy_std, mlp_from_state_dict, policy_action_distribution
+from repro.rl.policy import consensus_policy_std, policy_action_distribution
 from repro.rl.rollout import evaluate_flight_distance, evaluate_success_rate, greedy_episode
 
 
@@ -54,23 +55,23 @@ class TestRollout:
 
 
 class TestPolicyStatistics:
-    def test_mlp_from_state_dict_reproduces_outputs(self):
-        network = build_gridworld_q_network(observation_size=6, hidden_sizes=(8, 8), rng=0)
-        rebuilt = mlp_from_state_dict(network.state_dict())
-        x = np.random.default_rng(0).choice([-1.0, 0.0, 1.0], size=(10, 6))
-        np.testing.assert_allclose(rebuilt.forward(x), network.forward(x))
-
-    def test_mlp_from_state_dict_rejects_garbage(self):
-        with pytest.raises(KeyError):
-            mlp_from_state_dict({"weights": np.zeros((2, 2))})
-        with pytest.raises(ValueError):
-            mlp_from_state_dict({})
-
     def test_policy_action_distribution_shape(self):
         network = build_gridworld_q_network(observation_size=4, hidden_sizes=(8,), rng=0)
-        distribution = policy_action_distribution(network)
+        distribution = policy_action_distribution(network.state_dict())
         assert distribution.shape == (81, 4)
         np.testing.assert_allclose(distribution.sum(axis=1), np.ones(81))
+
+    def test_policy_action_distribution_is_the_network_softmax(self):
+        network = build_gridworld_q_network(observation_size=6, hidden_sizes=(8, 8), rng=0)
+        observations = np.random.default_rng(0).choice([-1.0, 0.0, 1.0], size=(10, 6))
+        distribution = policy_action_distribution(network.state_dict(), observations)
+        assert distribution.tobytes() == softmax(network.forward(observations), axis=1).tobytes()
+
+    def test_policy_statistics_reject_garbage(self):
+        with pytest.raises(KeyError):
+            consensus_policy_std({"weights": np.zeros((2, 2))})
+        with pytest.raises(KeyError):
+            consensus_policy_std({})
 
     def test_consensus_policy_std_range(self):
         network = build_gridworld_q_network(observation_size=6, hidden_sizes=(8, 8), rng=0)
