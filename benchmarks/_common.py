@@ -36,7 +36,6 @@ BENCH_DRONE_SCALE = DroneScale(
     corridor_length=450.0,
     fine_tune_episodes=4,
     learning_rate=2e-4,
-    evaluation_attempts=2,
     pretrain_collection_episodes=3,
     pretrain_epochs=8,
     pretrain_dagger_iterations=3,

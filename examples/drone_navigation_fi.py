@@ -23,7 +23,6 @@ def main() -> None:
         max_steps=220,
         corridor_length=450.0,
         fine_tune_episodes=4,
-        evaluation_attempts=1,
         pretrain_collection_episodes=2,
         pretrain_epochs=6,
         pretrain_dagger_iterations=2,
@@ -42,7 +41,7 @@ def main() -> None:
                                 datatype=scale.datatype, rng=0)
     system.train(scale.fine_tune_episodes, callbacks=[fault])
     print(f"  safe flight distance after server fault: "
-          f"{system.average_flight_distance(attempts=1):.0f} m")
+          f"{system.average_flight_distance():.0f} m")
 
     print("\nFine-tuning with an agent fault at the same BER...")
     system = build_drone_frl_system(scale, initial_state=pretrained["policy"])
@@ -51,7 +50,7 @@ def main() -> None:
                                 datatype=scale.datatype, rng=0)
     system.train(scale.fine_tune_episodes, callbacks=[fault])
     print(f"  safe flight distance after agent fault:  "
-          f"{system.average_flight_distance(attempts=1):.0f} m")
+          f"{system.average_flight_distance():.0f} m")
 
     print("\nRunning the fixed-point data-type study (paper §IV-B-3)...")
     datatypes = datatype_study_plan(

@@ -82,7 +82,11 @@ class GridWorldScale:
 
 @dataclass(frozen=True)
 class DroneScale:
-    """Sizing of DroneNav FRL experiments."""
+    """Sizing of DroneNav FRL experiments.
+
+    There is no evaluation attempt count: a greedy flight draws nothing and
+    starts from a fixed pose, so each (policy, world) pair flies once.
+    """
 
     drone_count: int = 2
     image_height: int = 8
@@ -96,7 +100,6 @@ class DroneScale:
     fine_tune_episodes: int = 8
     communication_interval: int = 2
     learning_rate: float = 5e-4
-    evaluation_attempts: int = 2
     repeats: int = 1
     datatype: str = "Q(1,7,8)"
     seed: int = 0
@@ -107,8 +110,8 @@ class DroneScale:
     def __post_init__(self) -> None:
         if self.drone_count <= 0 or self.fine_tune_episodes < 0:
             raise ValueError("drone_count must be positive and fine_tune_episodes non-negative")
-        if self.evaluation_attempts <= 0 or self.repeats <= 0:
-            raise ValueError("evaluation_attempts and repeats must be positive")
+        if self.repeats <= 0:
+            raise ValueError("repeats must be positive")
 
     @property
     def input_shape(self) -> Tuple[int, int, int]:
@@ -128,7 +131,6 @@ class DroneScale:
             max_steps=120,
             corridor_length=300.0,
             fine_tune_episodes=2,
-            evaluation_attempts=1,
             pretrain_collection_episodes=2,
             pretrain_epochs=3,
             pretrain_dagger_iterations=1,
@@ -151,6 +153,5 @@ class DroneScale:
             corridor_length=2000.0,
             max_steps=3000,
             fine_tune_episodes=6000,
-            evaluation_attempts=100,
             repeats=100,
         )

@@ -31,7 +31,6 @@ def datatype_cell(
     ber_index: int,
     repeat: int,
     policy: StateDict,
-    attempts: int,
 ) -> float:
     """One (datatype, BER, repeat) draw of the data-type study.
 
@@ -44,7 +43,7 @@ def datatype_cell(
     injector = FaultInjector(datatype=datatype, model="transient", rng=stream)
     corrupted = injector.corrupt_state_dict(policy, ber)
     agent = drone_agent_with_state(scale, corrupted, rng=stream)
-    return flight_distance_over_envs(agent, envs, attempts)
+    return flight_distance_over_envs(agent, envs)
 
 
 def datatype_study_plan(
@@ -67,7 +66,6 @@ def datatype_study_plan(
     datatypes = tuple(datatypes)
     ber_values = tuple(ber_values)
     policy = cache.drone_policy_ref(scale)
-    attempts = scale.evaluation_attempts
     cells = [
         CellTask(
             experiment_id="datatypes",
@@ -80,7 +78,6 @@ def datatype_study_plan(
                 "ber_index": ber_index,
                 "repeat": repeat,
                 "policy": policy,
-                "attempts": attempts,
             },
         )
         for ber_index, ber in enumerate(ber_values)

@@ -74,7 +74,7 @@ def drone_training_cell(
         location, scale, pretrained, ber, injection_episode, repeat, row, column
     )
     system.train(scale.fine_tune_episodes, callbacks=callbacks)
-    return system.average_flight_distance(attempts=scale.evaluation_attempts)
+    return system.average_flight_distance()
 
 
 def drone_training_plan(
@@ -169,7 +169,7 @@ def drone_count_cell(
     """One (drone count, fault location, BER) point of the Fig. 6a sweep."""
     system, callbacks = _count_cell_parts(scale, count, location, ber, ber_index, pretrained)
     system.train(scale.fine_tune_episodes, callbacks=callbacks)
-    return system.average_flight_distance(attempts=scale.evaluation_attempts)
+    return system.average_flight_distance()
 
 
 def drone_count_plan(
@@ -286,7 +286,7 @@ def communication_interval_cell(
         scale, multiplier, scenario, fault_ber, switch_episode, injection_episode, pretrained
     )
     log = system.train(scale.fine_tune_episodes, callbacks=callbacks)
-    distance = system.average_flight_distance(attempts=scale.evaluation_attempts)
+    distance = system.average_flight_distance()
     return distance, float(log.communication_count)
 
 
@@ -372,12 +372,11 @@ def _run_group(kwargs_list, build_parts, serial_fn, with_rounds: bool = False):
         system, cell_callbacks = build_parts(**kwargs)
         systems.append(system)
         callbacks.append(cell_callbacks)
-    attempts = {kwargs["scale"].evaluation_attempts for kwargs in kwargs_list}
-    if len(attempts) != 1 or not lockstep_compatible(systems, callbacks):
+    if not lockstep_compatible(systems, callbacks):
         return [serial_fn(**kwargs) for kwargs in kwargs_list]
     episodes = [kwargs["scale"].fine_tune_episodes for kwargs in kwargs_list]
     logs = train_group_lockstep(systems, callbacks, episodes)
-    distances = average_flight_distance_group_lockstep(systems, attempts=attempts.pop())
+    distances = average_flight_distance_group_lockstep(systems)
     if with_rounds:
         return [
             (distance, float(log.communication_count))

@@ -11,7 +11,7 @@ from repro.core.workloads import drone_agent_config, gridworld_agent_config
 from repro.envs.base import Environment
 from repro.nn.network import check_gridworld_q_state
 from repro.rl import ReinforceAgent
-from repro.rl.rollout import greedy_action_table
+from repro.rl.rollout import greedy_action_table, greedy_flight_distances
 from repro.utils.rng import as_rng, child_seeds
 
 StateDict = Dict[str, np.ndarray]
@@ -61,18 +61,14 @@ def success_rate_over_envs(
     return float(np.mean(rates))
 
 
-def flight_distance_over_envs(
-    agent, envs: Sequence[Environment], attempts_per_env: int
-) -> float:
-    """Average DroneNav safe flight distance over ``envs`` with a greedy policy."""
-    from repro.rl.rollout import evaluate_flight_distance
+def flight_distance_over_envs(agent, envs: Sequence[Environment]) -> float:
+    """Average DroneNav safe flight distance over ``envs`` with a greedy policy.
 
+    One greedy flight per environment, all of them lanes of one lockstep pass.
+    """
     if not envs:
         raise ValueError("flight_distance_over_envs needs at least one environment")
-    distances = [
-        evaluate_flight_distance(agent, env, attempts=attempts_per_env) for env in envs
-    ]
-    return float(np.mean(distances))
+    return float(np.mean(greedy_flight_distances([(agent, env) for env in envs])))
 
 
 def single_step_fault_success_rate(

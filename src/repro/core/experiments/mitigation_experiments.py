@@ -72,7 +72,7 @@ def training_mitigation_cell(
     system.train(total_episodes, callbacks=[fault, protection])
     if workload == "gridworld":
         return system.average_success_rate(attempts=scale.evaluation_attempts)
-    return system.average_flight_distance(attempts=scale.evaluation_attempts)
+    return system.average_flight_distance()
 
 
 def training_mitigation_plan(
@@ -174,13 +174,15 @@ def inference_mitigation_cell(
     ber: float,
     ber_index: int,
     repeat: int,
-    attempts: int,
+    attempts: Optional[int] = None,
 ) -> tuple:
     """One (BER, repeat) draw of the Fig. 8 sweep.
 
-    Returns ``(no_mitigation, mitigation, repaired_count)``.  The range
-    detector is recalibrated on the clean policy inside the cell — calibration
-    is deterministic, so this matches the historical calibrate-once loop.
+    Returns ``(no_mitigation, mitigation, repaired_count)``.  ``attempts`` is
+    the GridWorld walks per environment; a drone policy flies once per world.
+    The range detector is recalibrated on the clean policy inside the cell —
+    calibration is deterministic, so this matches the historical
+    calibrate-once loop.
     """
     stream = RngFactory(0).stream(workload, ber_index, repeat)
     injector = FaultInjector(datatype=scale.datatype, model="transient", rng=stream)
@@ -198,7 +200,7 @@ def inference_mitigation_cell(
 
         def evaluate(state, rng):
             agent = drone_agent_with_state(scale, state, rng=rng)
-            return flight_distance_over_envs(agent, envs, attempts)
+            return flight_distance_over_envs(agent, envs)
 
     plain = evaluate(corrupted, stream)
     repaired, repaired_count = detector.repair(corrupted)
@@ -229,13 +231,13 @@ def inference_mitigation_plan(
         scale = scale or GridWorldScale.fast()
         ber_values = tuple(ber_values) if ber_values is not None else (0.0, 0.005, 0.01, 0.02)
         policy = cache.gridworld_consensus_ref(scale)
-        attempts = max(2, scale.evaluation_attempts // 2)
+        walks = {"attempts": max(2, scale.evaluation_attempts // 2)}
         metric = "success rate (%)"
     else:
         scale = scale or DroneScale.fast()
         ber_values = tuple(ber_values) if ber_values is not None else (0.0, 1e-3, 1e-2, 1e-1)
         policy = cache.drone_policy_ref(scale)
-        attempts = scale.evaluation_attempts
+        walks = {}
         metric = "safe flight distance (m)"
 
     experiment_id = "fig8a" if workload == "gridworld" else "fig8b"
@@ -252,7 +254,7 @@ def inference_mitigation_plan(
                 "ber": ber,
                 "ber_index": ber_index,
                 "repeat": repeat,
-                "attempts": attempts,
+                **walks,
             },
         )
         for ber_index, ber in enumerate(ber_values)

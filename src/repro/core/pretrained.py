@@ -184,7 +184,7 @@ class PolicyCache:
         policy = reference_agent.state_dict()
         for agent in system.agents:
             agent.receive_state(policy)
-        flight_distance = system.average_flight_distance(attempts=scale.evaluation_attempts)
+        flight_distance = system.average_flight_distance()
         self.store(
             key,
             {

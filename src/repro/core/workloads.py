@@ -102,7 +102,6 @@ def drone_agent_config(scale: DroneScale) -> ReinforceConfig:
         conv_channels=tuple(scale.conv_channels),
         fc_hidden=scale.fc_hidden,
         learning_rate=scale.learning_rate,
-        greedy_epsilon=0.0,
     )
 
 

@@ -395,8 +395,8 @@ class DroneNavVecEnv:
     running (finished lanes are frozen by mask, never recomputed), and the
     heading/displacement arithmetic is the elementwise image of
     :meth:`DroneNavEnv.step`.  Lanes may share a :class:`DroneWorld` object
-    (worlds are read-only), which is how evaluation runs several attempts of
-    one environment in parallel.
+    (worlds are read-only), so systems built over the same corridors fly
+    side by side.  Finished lanes freeze until the next :meth:`reset_batch`.
     """
 
     action_count = len(YAW_DELTAS_DEG) * len(SPEED_FACTORS)
@@ -448,29 +448,24 @@ class DroneNavVecEnv:
         """Copy of the per-lane flight distances (the paper's metric)."""
         return self._distances.copy()
 
-    def reset_batch(self, lanes: Optional[np.ndarray] = None) -> np.ndarray:
-        """Reset all lanes (or just ``lanes``) and return the observation stack."""
-        if lanes is None:
-            lanes = np.arange(self.lane_count)
-        else:
-            lanes = np.asarray(lanes, dtype=np.int64)
-        self._positions[lanes] = 0.0
-        self._headings[lanes] = 0.0
-        self._steps[lanes] = 0
-        self._distances[lanes] = 0.0
-        self._done[lanes] = False
-        positions = self._positions[lanes]
+    def reset_batch(self) -> np.ndarray:
+        """Reset every lane and return the observation stack."""
+        self._positions[:] = 0.0
+        self._headings[:] = 0.0
+        self._steps[:] = 0
+        self._distances[:] = 0.0
+        self._done[:] = False
         depths = cast_rays(
-            positions,
-            self._headings[lanes],
+            self._positions,
+            self._headings,
             self._ray_angles,
             self.config.max_range,
-            self._half_widths[lanes],
-            self._obstacles[lanes],
-            self._obstacle_radii[lanes],
+            self._half_widths,
+            self._obstacles,
+            self._obstacle_radii,
         )
-        self._observations[lanes] = camera_frames(
-            positions, depths, self._half_widths[lanes], self.config
+        self._observations[:] = camera_frames(
+            self._positions, depths, self._half_widths, self.config
         )
         return self._observations
 

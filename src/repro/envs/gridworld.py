@@ -419,9 +419,8 @@ class GridWorldVecEnv:
 
     Each lane steps its own environment with :meth:`GridWorldEnv.step`, so
     its results are the serial ones by construction.  Finished lanes freeze
-    until :meth:`reset_batch` revives them (evaluation runs attempts back to
-    back per lane this way).  Building the batch neither resets nor steps a
-    lane.
+    until the next :meth:`reset_batch`.  Building the batch neither resets
+    nor steps a lane.
     """
 
     action_count = len(ACTIONS)
@@ -459,12 +458,11 @@ class GridWorldVecEnv:
         """The per-lane (row, col) agent positions."""
         return np.array([env.position for env in self.envs], dtype=np.int64)
 
-    def reset_batch(self, lanes: Optional[np.ndarray] = None) -> np.ndarray:
-        """Reset all lanes (or just ``lanes``) and return the observation stack."""
-        lanes = range(self.lane_count) if lanes is None else np.asarray(lanes, dtype=np.int64)
-        for lane in lanes:
-            self._observations[lane] = self.envs[lane].reset()
-            self._done[lane] = False
+    def reset_batch(self) -> np.ndarray:
+        """Reset every lane and return the observation stack."""
+        for lane, env in enumerate(self.envs):
+            self._observations[lane] = env.reset()
+        self._done[:] = False
         return self._observations
 
     def step_batch(self, actions: np.ndarray) -> VecStepResult:

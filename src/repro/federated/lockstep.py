@@ -28,7 +28,7 @@ from repro.federated.callbacks import CallbackList, TrainingCallback
 from repro.federated.system import TrainingLog
 from repro.nn.batched import StackedPolicy
 from repro.rl.lockstep import build_vec_env, train_episodes_lockstep
-from repro.rl.rollout import evaluate_episodes_lockstep
+from repro.rl.rollout import greedy_flight_distances
 
 
 def _callback_lockstep_safe(callback: TrainingCallback) -> bool:
@@ -126,33 +126,17 @@ def train_group_lockstep(
     return [system.log for system in systems]
 
 
-def average_flight_distance_group_lockstep(systems: Sequence, attempts: int = 3) -> List[float]:
-    """Per-system mean safe flight distance, evaluated in lockstep.
+def average_flight_distance_group_lockstep(systems: Sequence) -> List[float]:
+    """Per-system mean safe flight distance, every system's pairs flown in one pass.
 
-    Value ``i`` is bitwise identical to
-    ``systems[i].average_flight_distance(attempts=attempts)``: one lane per
-    pair of ``systems[i].evaluation_pairs()``.  Drone evaluation is greedy
-    and draw-free, so lanes may freely share streams.
+    Value ``i`` is bitwise identical to ``systems[i].average_flight_distance()``:
+    one lane per pair of ``systems[i].evaluation_pairs()``, and the mean over
+    those lanes in order.  Drone evaluation is greedy and draw-free, so
+    lanes may freely share streams.
     """
-    lane_agents, lane_envs, lane_systems = [], [], []
-    for i, system in enumerate(systems):
-        for agent, env in system.evaluation_pairs():
-            lane_agents.append(agent)
-            lane_envs.append(env)
-            lane_systems.append(i)
-    per_lane = evaluate_episodes_lockstep(
-        lane_agents,
-        build_vec_env(lane_envs),
-        StackedPolicy([agent.network for agent in lane_agents]),
-        attempts=attempts,
-    )
-    means = [
-        float(np.mean([stats.flight_distance for stats in lane])) for lane in per_lane
-    ]
-    return [
-        float(np.mean([means[k] for k, owner in enumerate(lane_systems) if owner == i]))
-        for i in range(len(systems))
-    ]
+    groups = [system.evaluation_pairs() for system in systems]
+    distances = iter(greedy_flight_distances([pair for pairs in groups for pair in pairs]))
+    return [float(np.mean([next(distances) for _ in pairs])) for pairs in groups]
 
 
 __all__ = [

@@ -22,7 +22,7 @@ from repro.federated.callbacks import CallbackList, TrainingCallback
 from repro.federated.schedule import CommunicationSchedule
 from repro.federated.server import FederatedServer
 from repro.rl.base import Agent
-from repro.rl.rollout import evaluate_flight_distance, evaluate_success_rate
+from repro.rl.rollout import evaluate_success_rate, greedy_flight_distances
 
 StateDict = Dict[str, np.ndarray]
 
@@ -135,16 +135,12 @@ class FRLSystem:
             )
         )
 
-    def average_flight_distance(self, attempts: int = 3) -> float:
-        """Mean DroneNav safe flight distance over :meth:`evaluation_pairs` (metres)."""
-        return float(
-            np.mean(
-                [
-                    evaluate_flight_distance(agent, env, attempts=attempts)
-                    for agent, env in self.evaluation_pairs()
-                ]
-            )
-        )
+    def average_flight_distance(self) -> float:
+        """Mean DroneNav safe flight distance over :meth:`evaluation_pairs` (metres).
+
+        One greedy flight per pair, the pairs flown as lanes of one lockstep pass.
+        """
+        return float(np.mean(greedy_flight_distances(self.evaluation_pairs())))
 
     def consensus_state(self) -> StateDict:
         """The server's consensus policy (averaging current agents if needed)."""

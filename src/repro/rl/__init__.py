@@ -12,11 +12,7 @@ from repro.rl.exploration import EpsilonSchedule, LinearEpsilonDecay
 from repro.rl.replay import ReplayBuffer, Transition
 from repro.rl.qlearning import QLearningAgent, QLearningConfig
 from repro.rl.reinforce import ReinforceAgent, ReinforceConfig
-from repro.rl.rollout import (
-    evaluate_flight_distance,
-    evaluate_success_rate,
-    greedy_episode,
-)
+from repro.rl.rollout import evaluate_success_rate, greedy_episode
 from repro.rl.policy import consensus_policy_std, policy_action_distribution
 
 __all__ = [
@@ -32,7 +28,6 @@ __all__ = [
     "ReinforceConfig",
     "greedy_episode",
     "evaluate_success_rate",
-    "evaluate_flight_distance",
     "consensus_policy_std",
     "policy_action_distribution",
 ]

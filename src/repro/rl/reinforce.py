@@ -4,7 +4,7 @@ The paper trains the drone CNN policy offline with REINFORCE and fine-tunes it
 online with transfer learning inside the federated system.  The policy network
 ends in a softmax over the 25-element perception-based action space; the
 agent samples actions from that distribution during training and acts greedily
-(or near-greedily) during inference.
+(the argmax) during inference.
 """
 
 from __future__ import annotations
@@ -31,13 +31,10 @@ class ReinforceConfig:
     learning_rate: float = 1e-3
     discount: float = 0.98
     entropy_bonus: float = 1e-3
-    greedy_epsilon: float = 0.02
 
     def __post_init__(self) -> None:
         if not 0.0 < self.discount <= 1.0:
             raise ValueError(f"discount must be in (0, 1], got {self.discount}")
-        if not 0.0 <= self.greedy_epsilon <= 1.0:
-            raise ValueError("greedy_epsilon must be in [0, 1]")
 
 
 def discounted_returns(rewards: Sequence[float], discount: float) -> np.ndarray:
@@ -93,19 +90,12 @@ class ReinforceAgent(Agent):
         return int(self._rng.choice(len(probabilities), p=probabilities))
 
     def greedy_action_from(self, probabilities: np.ndarray) -> int:
-        """Exploitation action from precomputed probabilities (serial branch)."""
-        if self.config.greedy_epsilon > 0 and self._rng.random() < self.config.greedy_epsilon:
-            return int(self._rng.integers(0, len(probabilities)))
+        """Exploitation action from precomputed probabilities: their argmax, with no draw."""
         return int(np.argmax(probabilities))
 
     def begin_episode(self, episode_index: int) -> None:
         """Record the episode index (REINFORCE keeps no schedule state)."""
         self._episode_index = episode_index
-
-    @property
-    def exploration_rate(self) -> float:
-        """The greedy-branch epsilon (constant for REINFORCE)."""
-        return self.config.greedy_epsilon
 
     # ---------------------------------------------------------------- learning
     def _policy_gradient_step(

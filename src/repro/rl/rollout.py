@@ -1,7 +1,7 @@
 """Rollout and evaluation helpers.
 
-Evaluation supports a small ε of residual exploration noise: the paper's
-success-rate campaigns repeat each scenario many times, which is only
+GridWorld evaluation supports a small ε of residual exploration noise: the
+paper's success-rate campaigns repeat each scenario many times, which is only
 meaningful when the rollout has some stochasticity.  A small ε also mirrors
 the fielded behaviour of exploitation-phase agents that retain a residual
 exploration rate.
@@ -15,19 +15,21 @@ evaluation cadence is part of an experiment's definition (changing it changes
 the downstream trajectory — deterministically).  Pass an explicit ``rng`` to
 evaluate without touching the agent's stream.
 
-Drone evaluation steps the environment with :func:`greedy_episode`, asking
-the policy for every action.  A GridWorld observation depends only on the
-agent's cell, so GridWorld evaluation computes the greedy action of every
-cell once, from the Q-network's state (:func:`greedy_action_table`), and
-runs each attempt as one :meth:`GridWorldEnv.walk` over the layout's
-successor table: the same draws as :func:`greedy_episode`, without building
-step results.
+A drone policy is scored by one greedy flight per (policy, world) pair, run
+as a lane of :func:`evaluate_episodes_lockstep`.  A greedy drone action is
+the argmax of the policy, which draws nothing, and every flight starts from
+the same pose, so a second flight of a pair would repeat the first byte for
+byte.  :func:`greedy_episode` is the serial form of that flight.  A GridWorld
+observation depends only on the agent's cell, so GridWorld evaluation
+computes the greedy action of every cell once, from the Q-network's state
+(:func:`greedy_action_table`), and runs each attempt as one
+:meth:`GridWorldEnv.walk` over the layout's successor table: the same draws
+as :func:`greedy_episode`, without building step results.
 """
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -37,7 +39,7 @@ from repro.nn import Linear, ReLU
 from repro.nn.batched import StackedPolicy
 from repro.nn.network import gridworld_q_values
 from repro.rl.base import Agent, EpisodeStats, outcome_to_stats
-from repro.rl.lockstep import _lane_info
+from repro.rl.lockstep import _lane_info, build_vec_env
 from repro.rl.qlearning import QLearningAgent
 from repro.utils.rng import as_rng
 
@@ -116,86 +118,52 @@ def evaluate_success_rate(
     return successes / attempts
 
 
-def evaluate_flight_distance(
-    agent: Agent,
-    env: Environment,
-    attempts: int = 5,
-    epsilon: float = 0.0,
-    rng=None,
-) -> float:
-    """Average safe flight distance over ``attempts`` exploitation episodes."""
-    if attempts <= 0:
-        raise ValueError(f"attempts must be positive, got {attempts}")
-    rng = as_rng(rng if rng is not None else getattr(agent, "rng", None))
-    act = partial(agent.select_action, explore=False)
-    distances: List[float] = []
-    for _ in range(attempts):
-        stats = greedy_episode(act, env, epsilon, rng)
-        distances.append(stats.flight_distance)
-    return float(np.mean(distances))
-
-
 # --------------------------------------------------------------------- lockstep
-def evaluate_episodes_lockstep(
-    agents: Sequence[Agent],
-    vec_env,
-    policy: StackedPolicy,
-    attempts: int = 1,
-) -> List[List[EpisodeStats]]:
-    """Run ``attempts`` greedy episodes per lane with all lanes in lockstep.
+def evaluate_episodes_lockstep(vec_env, policy: StackedPolicy) -> List[List[EpisodeStats]]:
+    """Run one greedy episode per lane with all lanes in lockstep.
 
-    Lane ``i`` of ``vec_env`` is driven by ``agents[i]`` using the stacked
-    network at lane ``i`` of ``policy``; its attempts run *sequentially* (the
-    lane resets and continues when an episode ends) so the per-lane
-    transcript is bitwise identical to ``attempts`` serial
-    :func:`greedy_episode` calls without residual ε.
-
-    An agent's own greedy-ε (``greedy_action_from``) draws from its own
-    stream, so identity requires lanes with a non-zero greedy-ε not to share
-    an agent.  The drone campaign path evaluates with ``greedy_epsilon=0``,
-    which draws nothing and is identical regardless.
+    Lane ``i`` of ``vec_env`` takes the argmax of the stacked network at
+    lane ``i`` of ``policy``, for every live lane in one ``np.argmax``.
+    Entry ``i`` of the result is the one-element list of lane ``i``'s
+    episode, bitwise identical to :func:`greedy_episode` without residual ε
+    on that lane's environment with the agent owning that network.  Nothing
+    is drawn, so lanes may share an agent.
     """
-    if attempts <= 0:
-        raise ValueError(f"attempts must be positive, got {attempts}")
     lane_count = vec_env.lane_count
-    if len(agents) != lane_count:
-        raise ValueError(f"need {lane_count} agents, got {len(agents)}")
-    remaining = np.full(lane_count, attempts, dtype=np.int64)
+    if policy.lane_count != lane_count:
+        raise ValueError(f"need {lane_count} stacked networks, got {policy.lane_count}")
     per_lane: List[List[EpisodeStats]] = [[] for _ in range(lane_count)]
     totals = np.zeros(lane_count, dtype=np.float64)
     steps = np.zeros(lane_count, dtype=np.int64)
-    current = np.array(vec_env.reset_batch(), copy=True)
+    vec_env.reset_batch()
     while True:
         active = np.flatnonzero(~vec_env.done)
         if active.size == 0:
-            break
-        probabilities = policy.forward(current[active], lanes=active)
+            return per_lane
+        probabilities = policy.forward(vec_env.observations[active], lanes=active)
         actions = np.zeros(lane_count, dtype=np.int64)
-        for row, lane in enumerate(active):
-            # greedy_action_from may consume the lane's stream (residual
-            # greedy-ε); the batched forward above consumed none, so the
-            # per-stream draw order matches serial exactly.
-            actions[lane] = agents[lane].greedy_action_from(probabilities[row])
+        actions[active] = np.argmax(probabilities, axis=1)
         result = vec_env.step_batch(actions)
-        finished: List[int] = []
-        for lane in active:
-            totals[lane] += result.rewards[lane]
-            steps[lane] += 1
-            if result.done[lane]:
-                per_lane[lane].append(
-                    outcome_to_stats(
-                        float(totals[lane]),
-                        int(steps[lane]),
-                        _lane_info(vec_env, lane, result.outcomes[lane]),
-                    )
+        totals[active] += result.rewards[active]
+        steps[active] += 1
+        for lane in active[result.done[active]]:
+            per_lane[lane].append(
+                outcome_to_stats(
+                    float(totals[lane]),
+                    int(steps[lane]),
+                    _lane_info(vec_env, lane, result.outcomes[lane]),
                 )
-                totals[lane] = 0.0
-                steps[lane] = 0
-                remaining[lane] -= 1
-                if remaining[lane] > 0:
-                    finished.append(int(lane))
-        if finished:
-            vec_env.reset_batch(lanes=np.asarray(finished, dtype=np.int64))
-        active_rows = np.flatnonzero(~vec_env.done)
-        current[active_rows] = vec_env.observations[active_rows]
-    return per_lane
+            )
+
+
+def greedy_flight_distances(pairs: Sequence[Tuple[Agent, Environment]]) -> List[float]:
+    """The safe flight distance of each (agent, environment) pair, in order.
+
+    One greedy flight per pair, every pair a lane of one
+    :func:`evaluate_episodes_lockstep` pass over the agents' networks.
+    """
+    agents, envs = zip(*pairs)
+    per_lane = evaluate_episodes_lockstep(
+        build_vec_env(envs), StackedPolicy([agent.network for agent in agents])
+    )
+    return [lane[0].flight_distance for lane in per_lane]

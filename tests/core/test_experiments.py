@@ -204,7 +204,7 @@ class TestDroneExperiments:
         agent = drone_agent_with_state(drone_scale, tiny_drone_policy["policy"], rng=7)
         before = agent.rng.bit_generator.state
         with pytest.raises(ValueError):
-            flight_distance_over_envs(agent, [], attempts_per_env=1)
+            flight_distance_over_envs(agent, [])
         assert agent.rng.bit_generator.state == before
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.envs import DroneNavConfig, DroneNavEnv, GridWorldEnv
-from repro.envs.dronenav import DroneNavVecEnv, generate_world
+from repro.envs.dronenav import DroneNavVecEnv, DroneWorld, generate_world
 from repro.envs.gridworld import GridWorldVecEnv, generate_layout
 
 
@@ -79,15 +79,6 @@ class TestGridWorldVecIdentity:
         streams = [iter(lambda: 0, None) for _ in range(3)]
         _assert_lockstep_identical(vec_env, envs, streams)
 
-    def test_partial_reset_revives_only_named_lanes(self):
-        vec_env = GridWorldVecEnv(_gridworld_envs(3, max_steps=1))
-        vec_env.reset_batch()
-        vec_env.step_batch(np.zeros(3, dtype=np.int64))  # every lane terminates
-        assert vec_env.done.all()
-        vec_env.reset_batch(lanes=np.array([1]))
-        done = vec_env.done
-        assert not done[1] and done[0] and done[2]
-
     def test_heterogeneous_lanes_rejected(self):
         small = GridWorldEnv(generate_layout(seed=1))
         with pytest.raises(ValueError, match="max_steps"):
@@ -136,17 +127,21 @@ class TestMaskedTermination:
             vec_env.step_batch(np.zeros(2, dtype=np.int64))
 
     def test_lane_done_on_first_step_stays_frozen(self):
-        # max_steps=1: every lane terminates at t=0; step lane 1 alone after
-        # a partial reset and check lane 0's state never moves again.
-        vec_env = GridWorldVecEnv(_gridworld_envs(2, max_steps=1))
+        # Lane 0's corridor is shorter than one step, so it survives at t=0;
+        # lane 1 keeps flying, and lane 0's state never moves again.
+        config = DroneNavConfig(image_width=8, image_height=8, max_steps=20)
+        vec_env = DroneNavVecEnv(
+            [DroneNavEnv(DroneWorld(length=length), config) for length in (1.0, 120.0)]
+        )
         vec_env.reset_batch()
-        first = vec_env.step_batch(np.zeros(2, dtype=np.int64))
-        assert first.done.all()
+        first = vec_env.step_batch(np.full(2, 12, dtype=np.int64))
+        assert first.done.tolist() == [True, False] and first.outcomes[0] == "survived"
         frozen = vec_env.observations[0].copy()
-        vec_env.reset_batch(lanes=np.array([1]))
-        result = vec_env.step_batch(np.array([3, 1], dtype=np.int64))
+        distance = vec_env.flight_distances[0]
+        result = vec_env.step_batch(np.array([3, 12], dtype=np.int64))
         assert not result.stepped[0] and result.stepped[1]
         assert vec_env.observations[0].tobytes() == frozen.tobytes()
+        assert vec_env.flight_distances[0] == distance
         assert result.rewards[0] == 0.0 and result.outcomes[0] is None
 
     def test_drone_all_done_raises(self):

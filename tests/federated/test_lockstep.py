@@ -64,17 +64,12 @@ class TestGroupTrainingIdentity:
         serial_systems, serial_callbacks = _mixed_group(scale, pretrained)
         for system, callbacks in zip(serial_systems, serial_callbacks):
             system.train(episodes, callbacks=callbacks)
-        serial_distances = [
-            system.average_flight_distance(attempts=scale.evaluation_attempts)
-            for system in serial_systems
-        ]
+        serial_distances = [system.average_flight_distance() for system in serial_systems]
 
         vec_systems, vec_callbacks = _mixed_group(scale, pretrained)
         assert lockstep_compatible(vec_systems, vec_callbacks)
         logs = train_group_lockstep(vec_systems, vec_callbacks, [episodes] * 3)
-        vec_distances = average_flight_distance_group_lockstep(
-            vec_systems, attempts=scale.evaluation_attempts
-        )
+        vec_distances = average_flight_distance_group_lockstep(vec_systems)
 
         assert vec_distances == serial_distances  # exact, not approx
         for serial, vec, log in zip(serial_systems, vec_systems, logs):
@@ -169,18 +164,21 @@ class TestGroupRunnersMatchSerialCells:
         grouped = _drone_training_group(kwargs_list)
         assert grouped == serial
 
-    def test_heterogeneous_attempts_fall_back_to_serial(
+    def test_heterogeneous_max_steps_fall_back_to_serial(
         self, tiny_drone_scale, pretrained
     ):
+        # Two flight horizons need two vector environments, so the group
+        # fails lockstep_compatible and runs its cells serially.
         from dataclasses import replace
 
         from repro.core.experiments.drone_training import (
             _drone_training_group,
+            _training_cell_parts,
             drone_training_cell,
         )
 
         scale = tiny_drone_scale
-        other = replace(scale, evaluation_attempts=scale.evaluation_attempts + 1)
+        other = replace(scale, max_steps=scale.max_steps // 2)
         kwargs_list = [
             dict(
                 location="agent",
@@ -194,5 +192,10 @@ class TestGroupRunnersMatchSerialCells:
             )
             for row, s in enumerate([scale, other])
         ]
+        parts = [_training_cell_parts(**kwargs) for kwargs in kwargs_list]
+        assert not lockstep_compatible(
+            [system for system, _ in parts], [callbacks for _, callbacks in parts]
+        )
         serial = [drone_training_cell(**kwargs) for kwargs in kwargs_list]
+        assert serial[0] != serial[1]
         assert _drone_training_group(kwargs_list) == serial

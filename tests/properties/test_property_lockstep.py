@@ -4,9 +4,8 @@ The vectorized evaluation path promises *bitwise* equality with the serial
 hot path for any environment, bit-error rate, seed and batch size — not just
 the handful of configurations the example-based suites pin.  Hypothesis
 drives randomized combinations through the vector environments and the
-lane-batched fault injector, plus the masked-termination edge cases (lanes
-finishing at different times, partial resets) the lockstep evaluator relies
-on.
+lane-batched fault injector, plus the masked-termination edge case (lanes
+finishing at different times) the lockstep evaluator relies on.
 """
 
 import numpy as np
@@ -91,38 +90,6 @@ def test_dronenav_vec_identity(lane_count, seed0, max_steps, action_seed):
     np.testing.assert_array_equal(
         vec.flight_distances, np.array([env.flight_distance for env in serial])
     )
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    lane_count=st.integers(1, 5),
-    seed0=st.integers(0, 100),
-    revive=st.data(),
-)
-def test_masked_termination_partial_resets(lane_count, seed0, revive):
-    """Lanes that finish stay frozen; partial resets revive only named lanes."""
-    vec = GridWorldVecEnv(
-        [GridWorldEnv(generate_layout(seed=seed0 + i), max_steps=1)
-         for i in range(lane_count)]
-    )
-    vec.reset_batch()
-    vec.step_batch(np.zeros(lane_count, dtype=np.int64))
-    assert vec.done.all()
-    lanes = revive.draw(
-        st.lists(st.integers(0, lane_count - 1), min_size=1, unique=True)
-    )
-    frozen = {
-        lane: vec.observations[lane].copy()
-        for lane in range(lane_count) if lane not in lanes
-    }
-    vec.reset_batch(lanes=np.array(lanes))
-    done = vec.done
-    for lane in range(lane_count):
-        assert bool(done[lane]) == (lane not in lanes)
-    result = vec.step_batch(np.ones(lane_count, dtype=np.int64))
-    for lane, before in frozen.items():
-        assert not result.stepped[lane]
-        assert vec.observations[lane].tobytes() == before.tobytes()
 
 
 @settings(max_examples=40, deadline=None)

@@ -55,3 +55,41 @@ class TestDataTypeRoundtrip:
         codes, scale = datatype.encode(np.array([1.0, -0.5]))
         restored = datatype.decode(codes, scale)
         assert restored[0] == pytest.approx(1.0, abs=scale)
+
+
+def _every_code_word(datatype, codes):
+    """All ``2 ** bit_width`` bit patterns, in the dtype ``encode`` stores them in."""
+    every = np.arange(2**datatype.bit_width, dtype=np.int64).astype(codes.dtype)
+    assert np.unique(every).size == 2**datatype.bit_width
+    return every
+
+
+class TestCodeWordsDecodeFinite:
+    """Every code word of every registered data type decodes to a finite float.
+
+    A fault flips bits of the encoded words and decodes the result, so no
+    fault-injected policy can hold a NaN or an infinite weight.  That is why
+    a NaN payload never reaches a stacked ``Linear`` bias add from a weight.
+    (int8's word -128 overflows only for a tensor whose largest magnitude
+    exceeds 127/128 of the largest float.)
+    """
+
+    @pytest.mark.parametrize(
+        "name", sorted(name for name, entry in DATATYPE_REGISTRY.items() if entry.name != "int8")
+    )
+    def test_fixed_point(self, name):
+        datatype = DATATYPE_REGISTRY[name]
+        assert datatype.bit_width in (8, 16)
+        codes, context = datatype.encode(np.array([0.5]))
+        decoded = datatype.decode(_every_code_word(datatype, codes), context)
+        assert np.isfinite(decoded).all()
+
+    @pytest.mark.parametrize(
+        "values", [[0.0], [5e-324], [1e-3, -2e-4], [0.5, -1.0], [3.0e4], [-1e300]]
+    )
+    def test_int8_at_its_scales(self, values):
+        datatype = DATATYPE_REGISTRY["int8"]
+        codes, scale = datatype.encode(np.array(values))
+        decoded = datatype.decode(_every_code_word(datatype, codes), scale)
+        assert np.isfinite(decoded).all()
+        assert decoded.min() == -128 * scale and decoded.max() == 127 * scale

@@ -51,7 +51,7 @@ class TestReinforceAgent:
         assert all(0 <= a < 25 for a in actions)
 
     def test_greedy_action_is_argmax(self):
-        agent = tiny_agent(greedy_epsilon=0.0)
+        agent = tiny_agent()
         observation = np.random.default_rng(0).random((3, 8, 16))
         action = agent.select_action(observation, explore=False)
         assert action == int(np.argmax(agent.action_probabilities(observation)))

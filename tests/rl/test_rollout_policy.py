@@ -11,7 +11,7 @@ from repro.nn import build_gridworld_q_network
 from repro.nn.losses import softmax
 from repro.rl import QLearningAgent, QLearningConfig
 from repro.rl.policy import consensus_policy_std, policy_action_distribution
-from repro.rl.rollout import evaluate_flight_distance, evaluate_success_rate, greedy_episode
+from repro.rl.rollout import evaluate_success_rate, greedy_episode
 
 
 def make_env(seed=21):
@@ -48,10 +48,6 @@ class TestRollout:
         a = evaluate_success_rate(agent, env, attempts=4, epsilon=0.0, rng=0)
         b = evaluate_success_rate(agent, env, attempts=4, epsilon=0.0, rng=1)
         assert a == b
-
-    def test_flight_distance_zero_for_gridworld(self):
-        # GridWorld episodes carry no flight distance; the helper returns 0.
-        assert evaluate_flight_distance(make_agent(), make_env(), attempts=2) == 0.0
 
 
 class TestPolicyStatistics:
