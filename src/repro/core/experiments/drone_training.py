@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, Optional, Sequence
 
 from repro.core.config import DroneScale
@@ -12,7 +13,6 @@ from repro.core.workloads import build_drone_frl_system, build_drone_single_syst
 from repro.federated import CommunicationSchedule
 from repro.federated.lockstep import (
     average_flight_distance_group_lockstep,
-    lockstep_compatible,
     train_group_lockstep,
 )
 from repro.runtime.cells import CampaignPlan, CellTask, accumulate_heatmap, grid_merge_order
@@ -358,22 +358,20 @@ def communication_interval_plan(
 # ------------------------------------------------------------ vectorized groups
 # Each group runner builds every cell's system and fault callback with the
 # cell's own builder (independent SeedSequence streams make build order
-# irrelevant), then trains and evaluates all cells as lanes of one lockstep
-# pass.  If the group cannot run in lockstep (mixed env configs or network
-# topologies, activation-target faults), it falls back to the serial cell
-# function — construction is side-effect free, so the discarded systems cost
-# nothing but time.
+# irrelevant), then trains and evaluates all cells through the one FRL
+# training loop: the cells' drones train as lanes, one bundle per (env
+# config, agent config), so cells with different flight horizons share the
+# group as separate bundles, and a network an activation fault hooks runs
+# its episode serially beside them.
 
 
-def _run_group(kwargs_list, build_parts, serial_fn, with_rounds: bool = False):
-    """Train and evaluate a group of cells in lockstep (or fall back serially)."""
+def _run_group(kwargs_list, build_parts, with_rounds: bool = False):
+    """Train and evaluate a group of cells as lanes of one training loop."""
     systems, callbacks = [], []
     for kwargs in kwargs_list:
         system, cell_callbacks = build_parts(**kwargs)
         systems.append(system)
         callbacks.append(cell_callbacks)
-    if not lockstep_compatible(systems, callbacks):
-        return [serial_fn(**kwargs) for kwargs in kwargs_list]
     episodes = [kwargs["scale"].fine_tune_episodes for kwargs in kwargs_list]
     logs = train_group_lockstep(systems, callbacks, episodes)
     distances = average_flight_distance_group_lockstep(systems)
@@ -385,21 +383,11 @@ def _run_group(kwargs_list, build_parts, serial_fn, with_rounds: bool = False):
     return distances
 
 
-def _drone_training_group(kwargs_list):
-    """Vectorized evaluator for a group of :func:`drone_training_cell` cells."""
-    return _run_group(kwargs_list, _training_cell_parts, drone_training_cell)
-
-
-def _drone_count_group(kwargs_list):
-    """Vectorized evaluator for a group of :func:`drone_count_cell` cells."""
-    return _run_group(kwargs_list, _count_cell_parts, drone_count_cell)
-
-
-def _communication_interval_group(kwargs_list):
-    """Vectorized evaluator for :func:`communication_interval_cell` groups."""
-    return _run_group(
-        kwargs_list, _interval_cell_parts, communication_interval_cell, with_rounds=True
-    )
+_drone_training_group = partial(_run_group, build_parts=_training_cell_parts)
+_drone_count_group = partial(_run_group, build_parts=_count_cell_parts)
+_communication_interval_group = partial(
+    _run_group, build_parts=_interval_cell_parts, with_rounds=True
+)
 
 
 register_group_runner(drone_training_cell, _drone_training_group)

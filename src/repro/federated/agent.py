@@ -2,20 +2,23 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.envs.base import Environment
-from repro.rl.base import Agent, EpisodeStats
+from repro.rl.base import Agent
 
 
 class FederatedAgent:
-    """Pairs an RL agent with its local environment and reward history.
+    """Pairs an RL agent with its local environment.
 
-    The reward history is what the training-time fault detector monitors: a
-    sustained drop in an agent's cumulative episode reward signals a fault in
-    that agent (or, if most agents drop simultaneously, in the server).
+    The agent keeps no history: its system logs every episode reward
+    (``FRLSystem.log.episode_rewards``) and hands each episode's stats to
+    ``on_agent_episode_end``, where the training-time fault detector reads
+    them.  A sustained drop in an agent's cumulative episode reward signals
+    a fault in that agent (or, if most agents drop simultaneously, in the
+    server).
     """
 
     def __init__(self, index: int, agent: Agent, env: Environment, name: Optional[str] = None) -> None:
@@ -23,16 +26,6 @@ class FederatedAgent:
         self.agent = agent
         self.env = env
         self.name = name or f"agent-{index}"
-        self.reward_history: List[float] = []
-        self.episode_stats: List[EpisodeStats] = []
-
-    def run_training_episode(self, episode_index: int) -> EpisodeStats:
-        """One local training episode; records the cumulative reward."""
-        self.agent.begin_episode(episode_index)
-        stats = self.agent.run_episode(self.env, train=True)
-        self.reward_history.append(stats.total_reward)
-        self.episode_stats.append(stats)
-        return stats
 
     # ------------------------------------------------------------- parameters
     def upload_state(self) -> Dict[str, np.ndarray]:

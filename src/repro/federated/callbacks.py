@@ -33,7 +33,12 @@ class TrainingCallback:
     def on_agent_episode_end(
         self, system: "FRLSystem", episode: int, agent_index: int, stats: EpisodeStats
     ) -> None:
-        """Called after each agent's local episode."""
+        """Called per agent, in order, once every agent's local episode has run.
+
+        Drones train side by side as lanes, so this must not change weights:
+        act on them in ``on_round_end``, as checkpoint recovery does.  A drone
+        lane's ``stats.info`` holds only its outcome and flight distance.
+        """
 
     def on_round_end(self, system: "FRLSystem", episode: int, communicated: bool) -> None:
         """Called at the very end of every episode (after any communication)."""

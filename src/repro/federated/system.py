@@ -18,7 +18,8 @@ import numpy as np
 
 from repro.envs.base import Environment
 from repro.federated.agent import FederatedAgent
-from repro.federated.callbacks import CallbackList, TrainingCallback
+from repro.federated.callbacks import TrainingCallback
+from repro.federated.lockstep import train_group_lockstep
 from repro.federated.schedule import CommunicationSchedule
 from repro.federated.server import FederatedServer
 from repro.rl.base import Agent
@@ -82,23 +83,10 @@ class FRLSystem:
 
         ``start_episode`` offsets the episode index seen by schedules and
         callbacks, so training can be resumed (e.g. fine-tuning after offline
-        pre-training, or continuing after a fault-recovery experiment).
+        pre-training, or continuing after a fault-recovery experiment).  This
+        is :func:`repro.federated.lockstep.train_group_lockstep` of one system.
         """
-        if episodes < 0:
-            raise ValueError(f"episodes must be non-negative, got {episodes}")
-        callback = callbacks if isinstance(callbacks, CallbackList) else CallbackList(callbacks or [])
-        callback.on_training_start(self)
-        for offset in range(episodes):
-            episode = start_episode + offset
-            callback.on_episode_start(self, episode)
-            rewards: List[float] = []
-            for agent in self.episode_agents():
-                stats = agent.run_training_episode(episode)
-                rewards.append(stats.total_reward)
-                callback.on_agent_episode_end(self, episode, agent.index, stats)
-            self.end_episode(episode, rewards, callback)
-        callback.on_training_end(self)
-        return self.log
+        return train_group_lockstep([self], [callbacks], [episodes], start_episode)[0]
 
     def episode_agents(self) -> List[FederatedAgent]:
         """The agents that run a local episode this episode, in order: all of them."""

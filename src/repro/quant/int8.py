@@ -11,6 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+#: The largest scale at which code word -128 still decodes finite.
+_LARGEST_SCALE = float(np.finfo(np.float64).max) / 128.0
+
 
 @dataclass
 class QuantizedTensor:
@@ -52,7 +55,8 @@ class Int8AffineCodec:
             max_abs = float(np.percentile(np.abs(values), self.clip_percentile))
         if max_abs == 0.0:
             return 1.0
-        scale = max_abs / 127.0
+        # Above 127/128 of the largest float, -128 * max_abs / 127 overflows.
+        scale = min(max_abs / 127.0, _LARGEST_SCALE)
         if scale == 0.0:
             # max_abs is so small (subnormal) that dividing by 127 underflows
             # to zero; the smallest positive float keeps quantize() usable and

@@ -1,9 +1,13 @@
 """Lockstep (vectorized) training over batches of independent rollouts.
 
-The vectorized campaign path advances N independent REINFORCE rollouts
-("lanes") through one vector environment and one :class:`StackedPolicy`
-forward per step, instead of N python episode loops.  Byte-identity with the
-serial path rests on three facts:
+:func:`train_lanes` trains one episode of each (agent, environment) pair.
+REINFORCE pairs with stackable networks advance as lanes of one vector
+environment and one :class:`StackedPolicy` forward per step, one bundle per
+(environment config, agent config) (:func:`lane_bundles`); every other pair
+— Q-learning, whose replay updates interleave with stepping, or a network an
+activation fault hook wraps, which the stacked forward never calls — runs
+``agent.run_episode(env, train=True)``, in pair order.  Byte-identity with
+the serial episode rests on three facts:
 
 * every lane owns its own ``np.random.Generator`` (per-cell ``SeedSequence``
   streams are independent), and the per-lane draw *order on that stream* is
@@ -17,20 +21,20 @@ serial path rests on three facts:
   bitwise (see ``nn/batched.py`` for the BLAS-layout argument).
 
 Terminated lanes are frozen by mask, not dropped, so lane indices are stable
-for the whole batch lifetime.  Q-learning training is *not* lockstep-able
-(its replay updates interleave with stepping), so this engine is REINFORCE
-only; evaluation of both agent families is handled in ``rl/rollout.py``.
+for the whole batch lifetime.  Greedy evaluation (``rl/rollout.py``) flies
+its pairs in the same bundles.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.envs.base import Environment
-from repro.nn.batched import StackedPolicy
+from repro.nn.batched import SUPPORTED_LAYERS, StackedPolicy
 from repro.rl.base import Agent, EpisodeStats, outcome_to_stats
+from repro.rl.reinforce import ReinforceAgent
 
 
 def build_vec_env(envs: Sequence[Environment]):
@@ -85,29 +89,64 @@ def sample_lane_actions(agents: Sequence[Agent], probabilities: np.ndarray) -> n
     return np.count_nonzero(cdf / sums <= draws[:, None], axis=1)
 
 
+def lane_bundles(pairs: Sequence[Tuple[Agent, Environment]]) -> Iterator[tuple]:
+    """Each bundle of ``pairs`` as ``(indices, agents, vec_env, policy)``.
+
+    A bundle is every pair with one (environment config, agent config): one
+    vector environment steps one config, and one agent config is one network
+    topology.  Bundles come in order of their first pair, and the policy of
+    each is stacked when the bundle is yielded.
+    """
+    bundles: dict = {}
+    for index, (agent, env) in enumerate(pairs):
+        bundles.setdefault((env.config, agent.config), []).append(index)
+    for indices in bundles.values():
+        agents = [pairs[index][0] for index in indices]
+        vec_env = build_vec_env([pairs[index][1] for index in indices])
+        yield indices, agents, vec_env, StackedPolicy([agent.network for agent in agents])
+
+
+def train_lanes(pairs: Sequence[Tuple[Agent, Environment]]) -> List[EpisodeStats]:
+    """One training episode of each (agent, environment) pair, in pair order.
+
+    Entry ``i`` is bitwise identical to ``agent.run_episode(env, train=True)``
+    of pair ``i``.  REINFORCE pairs whose layers :class:`StackedPolicy`
+    supports train as bundles of :func:`train_episodes_lockstep`; the other
+    pairs then run their serial episodes in pair order.  A lane's ``info``
+    holds only its outcome and flight distance.
+    """
+    stats: List[Optional[EpisodeStats]] = [None] * len(pairs)
+    lanes = [
+        index
+        for index, (agent, _) in enumerate(pairs)
+        if isinstance(agent, ReinforceAgent)
+        and all(isinstance(module, SUPPORTED_LAYERS) for module in agent.network.modules)
+    ]
+    for indices, agents, vec_env, policy in lane_bundles([pairs[index] for index in lanes]):
+        for k, lane in zip(indices, train_episodes_lockstep(agents, vec_env, policy)):
+            stats[lanes[k]] = lane
+    for index, (agent, env) in enumerate(pairs):
+        if stats[index] is None:
+            stats[index] = agent.run_episode(env, train=True)
+    return stats  # type: ignore[return-value]
+
+
 def train_episodes_lockstep(
-    agents: Sequence[Agent],
-    vec_env,
-    policy: StackedPolicy,
-    policy_lanes: Optional[np.ndarray] = None,
+    agents: Sequence[Agent], vec_env, policy: StackedPolicy
 ) -> List[EpisodeStats]:
     """Run one training episode per lane, all lanes advancing in lockstep.
 
-    ``agents[i]`` drives lane ``i`` of ``vec_env`` using the stacked network
-    at ``policy_lanes[i]`` (lane ``i`` when omitted).  Each lane's episode is
-    bitwise identical to ``agents[i].run_episode(envs[i], train=True)``: the
-    pre-step observation/action/reward buffers feed the agent's own
+    ``agents[i]`` drives lane ``i`` of ``vec_env`` using stacked network
+    ``i`` of ``policy``.  Each lane's episode is bitwise identical to
+    ``agents[i].run_episode(envs[i], train=True)``: the pre-step
+    observation/action/reward buffers feed the agent's own
     ``_policy_gradient_step`` the moment its lane terminates.  ``policy`` must
-    have been ``refresh()``-ed after the last weight mutation; updates applied
-    here leave the stacked copies stale, so refresh again before reuse.
+    have been stacked after the last weight mutation; updates applied here
+    leave the stacked copies stale.
     """
     lane_count = vec_env.lane_count
     if len(agents) != lane_count:
         raise ValueError(f"need {lane_count} agents, got {len(agents)}")
-    if policy_lanes is None:
-        policy_lanes = np.arange(lane_count, dtype=np.int64)
-    else:
-        policy_lanes = np.asarray(policy_lanes, dtype=np.int64)
     current = np.array(vec_env.reset_batch(), copy=True)
     observation_buffers: List[List[np.ndarray]] = [[] for _ in range(lane_count)]
     action_buffers: List[List[int]] = [[] for _ in range(lane_count)]
@@ -119,7 +158,7 @@ def train_episodes_lockstep(
         active = np.flatnonzero(~vec_env.done)
         if active.size == 0:
             break
-        probabilities = policy.forward(current[active], lanes=policy_lanes[active])
+        probabilities = policy.forward(current[active], lanes=active)
         actions = np.zeros(lane_count, dtype=np.int64)
         # The forward pass above consumed no randomness, so each lane's
         # stream sees exactly the serial sequence.
@@ -144,4 +183,6 @@ def train_episodes_lockstep(
     return stats  # type: ignore[return-value]
 
 
-__all__ = ["build_vec_env", "sample_lane_actions", "train_episodes_lockstep"]
+__all__ = [
+    "build_vec_env", "lane_bundles", "sample_lane_actions", "train_episodes_lockstep", "train_lanes"
+]

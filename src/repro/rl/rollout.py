@@ -39,7 +39,7 @@ from repro.nn import Linear, ReLU
 from repro.nn.batched import StackedPolicy
 from repro.nn.network import gridworld_q_values
 from repro.rl.base import Agent, EpisodeStats, outcome_to_stats
-from repro.rl.lockstep import _lane_info, build_vec_env
+from repro.rl.lockstep import _lane_info, lane_bundles
 from repro.rl.qlearning import QLearningAgent
 from repro.utils.rng import as_rng
 
@@ -159,11 +159,11 @@ def evaluate_episodes_lockstep(vec_env, policy: StackedPolicy) -> List[List[Epis
 def greedy_flight_distances(pairs: Sequence[Tuple[Agent, Environment]]) -> List[float]:
     """The safe flight distance of each (agent, environment) pair, in order.
 
-    One greedy flight per pair, every pair a lane of one
-    :func:`evaluate_episodes_lockstep` pass over the agents' networks.
+    One greedy flight per pair, each :func:`lane_bundles` bundle flown as the
+    lanes of one :func:`evaluate_episodes_lockstep` pass.
     """
-    agents, envs = zip(*pairs)
-    per_lane = evaluate_episodes_lockstep(
-        build_vec_env(envs), StackedPolicy([agent.network for agent in agents])
-    )
-    return [lane[0].flight_distance for lane in per_lane]
+    distances: List[float] = [0.0] * len(pairs)
+    for indices, _, vec_env, policy in lane_bundles(pairs):
+        for index, lane in zip(indices, evaluate_episodes_lockstep(vec_env, policy)):
+            distances[index] = lane[0].flight_distance
+    return distances

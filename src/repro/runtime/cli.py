@@ -83,10 +83,10 @@ _OPTIONS = {
     "--vectorize": dict(
         choices=VECTORIZE_MODES,
         default="auto",
-        help="lockstep (vectorized) evaluation of cell groups: 'auto' uses it "
-        "where a vectorized runner exists, 'on' fails if one is missing, "
-        "'off' forces the serial per-cell path; payloads are byte-identical "
-        "either way (default: auto)",
+        help="cell groups: 'auto' trains consecutive cells as one loop "
+        "where a group runner exists, 'on' fails if one is missing, 'off' "
+        "runs every cell on its own (its drones still train as lanes); "
+        "payloads are byte-identical either way (default: auto)",
     ),
     "--cache-dir": dict(
         type=Path,

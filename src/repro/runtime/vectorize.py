@@ -1,23 +1,23 @@
 """Registry of vectorized *group runners* for campaign cell functions.
 
-A group runner evaluates a batch of same-function campaign cells through the
-lockstep (vectorized) path — one vector environment and one stacked policy
-per group instead of one python episode loop per cell — and returns the
-per-cell outputs in cell order, bitwise identical to calling the cell
-function once per cell.  Experiment modules register their runners at import
-time; pool workers repopulate the registry automatically because unpickling a
-cell's ``fn`` imports its defining module.
+A group runner trains a batch of same-function campaign cells through one
+FRL training loop instead of one loop per cell, and returns the per-cell
+outputs in cell order, bitwise identical to calling the cell function once
+per cell.  Experiment modules register their runners at import time; pool
+workers repopulate the registry automatically because unpickling a cell's
+``fn`` imports its defining module.
 
 The registry is keyed by the cell function *object*, so registration and
 lookup always agree with what the plan builders put into their cells.  The
 campaign runner consults it according to ``--vectorize``:
 
 * ``auto`` (default) — groups consecutive same-function cells through their
-  registered runner; functions without one run serially.
+  registered runner; functions without one run cell by cell.
 * ``on`` — like ``auto`` but raises :class:`~repro.runtime.runner.CampaignError`
   for any cell whose function has no registered runner (CI identity jobs use
-  this to guarantee the vectorized path actually ran).
-* ``off`` — never consults the registry; every cell runs serially.
+  this to guarantee the group path actually ran).
+* ``off`` — never consults the registry; every cell runs on its own, its
+  drones still training as lanes of its own loop.
 """
 
 from __future__ import annotations

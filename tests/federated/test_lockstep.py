@@ -1,24 +1,34 @@
-"""Bitwise identity of lockstep group training/evaluation vs serial systems.
+"""Bitwise identity of the one FRL training loop with the serial loop.
 
 ``train_group_lockstep`` interleaves the episodes of several independent
-systems through one vector environment and one stacked policy.  The contract
-is byte-identity with training each system alone: logs, reward histories and
-evaluation results must match exactly, not approximately — this is what lets
-the campaign runner route whole cell groups through the vectorized path
-without perturbing any published number.
+systems and trains each episode's drones as lanes of stacked policies.  The
+contract is byte-identity with training each system alone, one agent
+episode at a time (``serial_oracle.serial_train``): logs, weights, streams,
+callback records and evaluation results must match exactly, not
+approximately — this is what lets the campaign runner route whole cell
+groups through the vectorized path without perturbing any published number.
 """
+
+from dataclasses import replace
 
 import pytest
 
+from repro.core.experiments.drone_training import (
+    _drone_training_group,
+    _training_cell_parts,
+    drone_training_cell,
+)
 from repro.core.fault_callbacks import make_training_fault
 from repro.core.workloads import build_drone_frl_system, build_drone_single_system
-from repro.federated.callbacks import TrainingCallback
+from repro.federated import FRLSystem
 from repro.federated.lockstep import (
     average_flight_distance_group_lockstep,
-    lockstep_compatible,
     train_group_lockstep,
 )
+from repro.rl.lockstep import lane_bundles
 from repro.utils.rng import RngFactory
+
+from serial_oracle import serial_train, training_record
 
 
 @pytest.fixture(scope="module")
@@ -27,12 +37,11 @@ def pretrained(tiny_drone_policy):
     return tiny_drone_policy["policy"]
 
 
-def _fault(scale, ber, stream_args, location="agent", target="weights"):
+def _fault(scale, ber, stream_args, location="agent", episode=1):
     return make_training_fault(
         location=location,
         bit_error_rate=ber,
-        injection_episode=1,
-        target=target,
+        injection_episode=episode,
         datatype=scale.datatype,
         rng=RngFactory(scale.seed).stream(*stream_args),
     )
@@ -53,30 +62,25 @@ def _mixed_group(scale, pretrained):
     return systems, callbacks
 
 
-def _reward_histories(system):
-    return [list(fed.reward_history) for fed in system.agents]
-
-
 class TestGroupTrainingIdentity:
     def test_mixed_group_matches_serial_bitwise(self, tiny_drone_scale, pretrained):
         scale = tiny_drone_scale
         episodes = scale.fine_tune_episodes
         serial_systems, serial_callbacks = _mixed_group(scale, pretrained)
         for system, callbacks in zip(serial_systems, serial_callbacks):
-            system.train(episodes, callbacks=callbacks)
+            serial_train(system, episodes, callbacks)
         serial_distances = [system.average_flight_distance() for system in serial_systems]
 
         vec_systems, vec_callbacks = _mixed_group(scale, pretrained)
-        assert lockstep_compatible(vec_systems, vec_callbacks)
         logs = train_group_lockstep(vec_systems, vec_callbacks, [episodes] * 3)
         vec_distances = average_flight_distance_group_lockstep(vec_systems)
 
         assert vec_distances == serial_distances  # exact, not approx
-        for serial, vec, log in zip(serial_systems, vec_systems, logs):
+        for serial, callbacks, vec, vec_cbs, log in zip(
+            serial_systems, serial_callbacks, vec_systems, vec_callbacks, logs
+        ):
             assert log is vec.log
-            assert vec.log.episode_rewards == serial.log.episode_rewards
-            assert _reward_histories(vec) == _reward_histories(serial)
-            assert vec.log.communication_count == serial.log.communication_count
+            assert training_record(vec, vec_cbs) == training_record(serial, callbacks)
 
     def test_unequal_episode_counts_drop_lanes_out_early(
         self, tiny_drone_scale, pretrained
@@ -88,45 +92,31 @@ class TestGroupTrainingIdentity:
             for k in range(2)
         ]
         for system, count in zip(serial, counts):
-            system.train(count)
+            serial_train(system, count)
         vec = [
             build_drone_frl_system(scale, seed_offset=k, initial_state=pretrained)
             for k in range(2)
         ]
         train_group_lockstep(vec, [[], []], counts)
         for a, b in zip(serial, vec):
-            assert a.log.episode_rewards == b.log.episode_rewards
-            assert _reward_histories(a) == _reward_histories(b)
+            assert training_record(b) == training_record(a)
 
-
-class TestLockstepCompatibility:
-    def test_weights_fault_callbacks_pass(self, tiny_drone_scale, pretrained):
-        systems, callbacks = _mixed_group(tiny_drone_scale, pretrained)
-        assert lockstep_compatible(systems, callbacks)
-
-    def test_activation_fault_callbacks_are_rejected(
-        self, tiny_drone_scale, pretrained
-    ):
-        # Activation faults hook the serial network.forward, which the
-        # stacked forward never calls — running them in lockstep would
-        # silently drop the injected faults.
+    def test_start_episode_offsets_schedule_and_callbacks(self, tiny_drone_scale, pretrained):
         scale = tiny_drone_scale
-        system = build_drone_frl_system(scale, initial_state=pretrained)
-        callback = _fault(scale, 1e-2, ("fi", 9), target="activations")
-        assert not lockstep_compatible([system], [[callback]])
 
-    def test_unknown_callback_types_are_rejected(self, tiny_drone_scale, pretrained):
-        system = build_drone_frl_system(tiny_drone_scale, initial_state=pretrained)
+        def build():
+            system = build_drone_frl_system(scale, initial_state=pretrained)
+            return system, [_fault(scale, 1e-1, ("fi", 5), episode=4)]
 
-        class Watcher(TrainingCallback):
-            pass
+        serial, serial_callbacks = build()
+        serial_train(serial, 2, serial_callbacks, start_episode=3)
+        system, callbacks = build()
+        system.train(2, callbacks=callbacks, start_episode=3)
+        assert training_record(system, callbacks) == training_record(serial, serial_callbacks)
+        assert [record["episode"] for record in callbacks[0].injections] == [4]
 
-        assert not lockstep_compatible([system], [[Watcher()]])
 
-    def test_empty_callbacks_pass(self, tiny_drone_scale, pretrained):
-        system = build_drone_frl_system(tiny_drone_scale, initial_state=pretrained)
-        assert lockstep_compatible([system], [[]])
-
+class TestGroupArguments:
     def test_mismatched_episode_list_lengths_rejected(
         self, tiny_drone_scale, pretrained
     ):
@@ -137,13 +127,17 @@ class TestLockstepCompatibility:
             train_group_lockstep([system], [[]], [-1])
 
 
-class TestGroupRunnersMatchSerialCells:
-    def test_drone_training_group_runner_identity(self, tiny_drone_scale, pretrained):
-        from repro.core.experiments.drone_training import (
-            _drone_training_group,
-            drone_training_cell,
-        )
+def _serial_cells(monkeypatch, cell, kwargs_list):
+    """``cell(**kwargs)`` for each kwargs, with systems trained by the serial oracle."""
+    with monkeypatch.context() as patch:
+        patch.setattr(FRLSystem, "train", serial_train)
+        return [cell(**kwargs) for kwargs in kwargs_list]
 
+
+class TestGroupRunnersMatchSerialCells:
+    def test_drone_training_group_runner_identity(
+        self, tiny_drone_scale, pretrained, monkeypatch
+    ):
         scale = tiny_drone_scale
         kwargs_list = [
             dict(
@@ -160,23 +154,15 @@ class TestGroupRunnersMatchSerialCells:
                 [("agent", 1e-3), ("server", 1e-2), ("single", 1e-3)]
             )
         ]
-        serial = [drone_training_cell(**kwargs) for kwargs in kwargs_list]
-        grouped = _drone_training_group(kwargs_list)
-        assert grouped == serial
+        serial = _serial_cells(monkeypatch, drone_training_cell, kwargs_list)
+        assert _drone_training_group(kwargs_list) == serial
+        assert [drone_training_cell(**kwargs) for kwargs in kwargs_list] == serial
 
-    def test_heterogeneous_max_steps_fall_back_to_serial(
-        self, tiny_drone_scale, pretrained
+    def test_two_flight_horizons_run_as_two_bundles(
+        self, tiny_drone_scale, pretrained, monkeypatch
     ):
-        # Two flight horizons need two vector environments, so the group
-        # fails lockstep_compatible and runs its cells serially.
-        from dataclasses import replace
-
-        from repro.core.experiments.drone_training import (
-            _drone_training_group,
-            _training_cell_parts,
-            drone_training_cell,
-        )
-
+        # Two flight horizons are two environment configs, so the group
+        # trains and flies as two bundles side by side.
         scale = tiny_drone_scale
         other = replace(scale, max_steps=scale.max_steps // 2)
         kwargs_list = [
@@ -190,12 +176,18 @@ class TestGroupRunnersMatchSerialCells:
                 row=row,
                 column=0,
             )
-            for row, s in enumerate([scale, other])
+            for row, s in enumerate([scale, other, scale])
         ]
-        parts = [_training_cell_parts(**kwargs) for kwargs in kwargs_list]
-        assert not lockstep_compatible(
-            [system for system, _ in parts], [callbacks for _, callbacks in parts]
-        )
-        serial = [drone_training_cell(**kwargs) for kwargs in kwargs_list]
+        pairs = [
+            pair
+            for system, _ in (_training_cell_parts(**kwargs) for kwargs in kwargs_list)
+            for pair in system.evaluation_pairs()
+        ]
+        drones = scale.drone_count
+        assert [indices for indices, *_ in lane_bundles(pairs)] == [
+            list(range(drones)) + list(range(2 * drones, 3 * drones)),
+            list(range(drones, 2 * drones)),
+        ]
+        serial = _serial_cells(monkeypatch, drone_training_cell, kwargs_list)
         assert serial[0] != serial[1]
         assert _drone_training_group(kwargs_list) == serial

@@ -70,8 +70,6 @@ class TestCodeWordsDecodeFinite:
     A fault flips bits of the encoded words and decodes the result, so no
     fault-injected policy can hold a NaN or an infinite weight.  That is why
     a NaN payload never reaches a stacked ``Linear`` bias add from a weight.
-    (int8's word -128 overflows only for a tensor whose largest magnitude
-    exceeds 127/128 of the largest float.)
     """
 
     @pytest.mark.parametrize(
@@ -85,7 +83,8 @@ class TestCodeWordsDecodeFinite:
         assert np.isfinite(decoded).all()
 
     @pytest.mark.parametrize(
-        "values", [[0.0], [5e-324], [1e-3, -2e-4], [0.5, -1.0], [3.0e4], [-1e300]]
+        "values",
+        [[0.0], [5e-324], [1e-3, -2e-4], [0.5, -1.0], [3.0e4], [-1e300], [1.79e308, -1.79e308]],
     )
     def test_int8_at_its_scales(self, values):
         datatype = DATATYPE_REGISTRY["int8"]

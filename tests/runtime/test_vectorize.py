@@ -1,15 +1,17 @@
 """The vectorize registry and the runner's group routing.
 
 Covers the three mode contracts (``auto`` groups registered functions and
-falls back serially, ``on`` demands a registered group runner, ``off`` never
-groups) and the payload byte-identity between vectorized and serial campaign
-runs that the CI ``vectorize-identity`` job pins end to end.
+runs the others cell by cell, ``on`` demands a registered group runner,
+``off`` never groups) and the payload byte-identity of every mode with
+campaign cells trained by the serial loop (``serial_oracle.serial_train``),
+which the CI ``vectorize-identity`` job pins end to end.
 """
 
 import json
 
 import pytest
 
+from repro.federated import FRLSystem
 from repro.runtime.plans import CampaignContext, build_plan
 from repro.runtime.runner import CampaignError, CampaignRunner, _run_cell_batch
 from repro.runtime.vectorize import (
@@ -21,6 +23,8 @@ from repro.runtime.vectorize import (
     registered_functions,
     validate_vectorize_mode,
 )
+
+from serial_oracle import serial_train
 
 
 def _payload(result) -> str:
@@ -118,7 +122,7 @@ class TestModeRouting:
 
 class TestPayloadIdentity:
     @pytest.mark.parametrize("experiment_id", ["fig6a", "fig6b"])
-    def test_vectorized_matches_serial_bitwise(self, context, experiment_id):
+    def test_vectorized_matches_serial_bitwise(self, context, experiment_id, monkeypatch):
         def run(vectorize, workers=1):
             return CampaignRunner(
                 gridworld_scale=context.gridworld_scale,
@@ -128,6 +132,10 @@ class TestPayloadIdentity:
                 vectorize=vectorize,
             ).run_plan(build_plan(experiment_id, context))
 
-        serial = _payload(run("off"))
+        # The reference trains every cell's agents one episode at a time.
+        with monkeypatch.context() as patch:
+            patch.setattr(FRLSystem, "train", serial_train)
+            serial = _payload(run("off"))
+        assert _payload(run("off")) == serial
         assert _payload(run("on")) == serial
         assert _payload(run("auto", workers=2)) == serial
